@@ -1,14 +1,15 @@
 // Cluster-kernel sweep — what one shared event kernel buys the cluster.
 //
-// The unified kernel (ClusterMode::kUnified) routes arrivals at event time,
-// serves replicated atom reads from the chain member with the shallowest
-// modeled disk queue, and absorbs node deaths in-line: the dead node's
-// unfinished work contends for the survivors' modeled disks instead of being
-// re-run after the fact. The legacy path (kLegacy) is the same cluster with
-// N isolated engines and post-hoc recovery — the equivalence baseline.
+// The cluster kernel routes arrivals at event time, serves replicated atom
+// reads from the chain member with the shallowest modeled disk queue, and
+// absorbs node deaths in-line: the dead node's unfinished work contends for
+// the survivors' modeled disks instead of being re-run after the fact.
+// Without a node death, replication 1 is the baseline (it runs exactly like
+// N isolated per-node engines); the paired table sets each replication's
+// makespan against it.
 //
-// This harness sweeps workload skew x replication x node death x mode at
-// equal seeds and reports, per cell: cluster makespan, the share of demand
+// This harness sweeps workload skew x replication x node death at equal
+// seeds and reports, per cell: cluster makespan, the share of demand
 // reads served by a replica, failover accounting, and — for the death rows —
 // the survivors' disk utilisation before vs after the death (from the
 // per-node timeline, so a rise is visible in-kernel, not a post-hoc sum).
@@ -36,7 +37,6 @@ struct Row {
     std::string skew;
     std::size_t replication = 1;
     bool death = false;
-    bool unified = false;
     jaws::core::ClusterReport r;
     double survivor_util_before = 0.0;
     double survivor_util_after = 0.0;
@@ -49,8 +49,7 @@ constexpr double kDeathSeconds = 30.0;
 /// replica routing only matters when the owner's disk has a backlog to dodge.
 constexpr double kSpeedup = 16.0;
 
-jaws::core::ClusterConfig sweep_config(std::size_t replication, bool death,
-                                       bool unified) {
+jaws::core::ClusterConfig sweep_config(std::size_t replication, bool death) {
     jaws::core::ClusterConfig config;
     config.node = jaws::bench::base_config();
     // Bit-identical repeats: keep every measurement on the virtual clock.
@@ -61,8 +60,6 @@ jaws::core::ClusterConfig sweep_config(std::size_t replication, bool death,
     config.node.timeline_window_s = 5.0;
     config.nodes = kNodes;
     config.replication = replication;
-    config.mode = unified ? jaws::core::ClusterMode::kUnified
-                          : jaws::core::ClusterMode::kLegacy;
     if (death)
         config.node.faults.node_down.push_back(jaws::storage::NodeDownEvent{
             jaws::util::NodeIndex{static_cast<std::uint32_t>(kDeadNode)}, jaws::util::SimTime::from_seconds(kDeathSeconds)});
@@ -72,7 +69,6 @@ jaws::core::ClusterConfig sweep_config(std::size_t replication, bool death,
 std::uint64_t total_atom_reads(const jaws::core::ClusterReport& r) {
     std::uint64_t reads = 0;
     for (const auto& n : r.per_node) reads += n.atom_reads;
-    for (const auto& n : r.recovery) reads += n.atom_reads;
     return reads;
 }
 
@@ -129,7 +125,7 @@ int main(int argc, char** argv) {
     using namespace jaws;
     const std::size_t jobs = bench::jobs_from_args(argc, argv, 120);
 
-    const core::ClusterConfig probe = sweep_config(1, false, true);
+    const core::ClusterConfig probe = sweep_config(1, false);
     const field::SyntheticField field(probe.node.field);
 
     const SkewLevel skews[] = {
@@ -138,10 +134,10 @@ int main(int argc, char** argv) {
     };
 
     std::printf("# Cluster kernel sweep: %zu nodes, %zu jobs, "
-                "skew x replication x death x mode\n\n",
+                "skew x replication x death\n\n",
                 kNodes, jobs);
-    std::printf("%-8s %-4s %-6s %-8s %12s %10s %9s %6s %6s %7s %7s %6s\n", "skew",
-                "rep", "death", "mode", "makespan(s)", "tp(q/s)", "replica%",
+    std::printf("%-8s %-4s %-6s %12s %10s %9s %6s %6s %7s %7s %6s\n", "skew",
+                "rep", "death", "makespan(s)", "tp(q/s)", "replica%",
                 "disk%", "cpu%", "failov", "requeue", "lost");
 
     std::vector<Row> rows;
@@ -157,52 +153,45 @@ int main(int argc, char** argv) {
 
         for (const std::size_t rep : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
             for (const bool death : {false, true}) {
-                for (const bool unified : {false, true}) {
-                    Row row;
-                    row.skew = skew.name;
-                    row.replication = rep;
-                    row.death = death;
-                    row.unified = unified;
-                    const core::ClusterConfig config =
-                        sweep_config(rep, death, unified);
-                    row.r = core::TurbulenceCluster(config).run(workload);
-                    if (death) {
-                        row.survivor_util_before = survivor_util(row.r, false);
-                        row.survivor_util_after = survivor_util(row.r, true);
-                    }
-                    std::printf("%-8s %-4zu %-6s %-8s %12.1f %10.3f %8.2f%% "
-                                "%5.1f%% %5.1f%% %7zu %7zu %6zu\n",
-                                row.skew.c_str(), rep, death ? "yes" : "no",
-                                unified ? "unified" : "legacy",
-                                row.r.makespan.seconds(),
-                                row.r.total_throughput_qps,
-                                100.0 * replica_share(row.r),
-                                100.0 * row.r.mean_disk_utilization,
-                                100.0 * row.r.mean_cpu_utilization,
-                                row.r.failovers, row.r.requeued_queries,
-                                row.r.lost_queries);
-                    std::fflush(stdout);
-                    rows.push_back(std::move(row));
+                Row row;
+                row.skew = skew.name;
+                row.replication = rep;
+                row.death = death;
+                row.r = core::TurbulenceCluster(sweep_config(rep, death)).run(workload);
+                if (death) {
+                    row.survivor_util_before = survivor_util(row.r, false);
+                    row.survivor_util_after = survivor_util(row.r, true);
                 }
+                std::printf("%-8s %-4zu %-6s %12.1f %10.3f %8.2f%% "
+                            "%5.1f%% %5.1f%% %7zu %7zu %6zu\n",
+                            row.skew.c_str(), rep, death ? "yes" : "no",
+                            row.r.makespan.seconds(), row.r.total_throughput_qps,
+                            100.0 * replica_share(row.r),
+                            100.0 * row.r.mean_disk_utilization,
+                            100.0 * row.r.mean_cpu_utilization, row.r.failovers,
+                            row.r.requeued_queries, row.r.lost_queries);
+                std::fflush(stdout);
+                rows.push_back(std::move(row));
             }
         }
     }
 
-    // Paired makespans: unified against its legacy twin (same workload, same
-    // replication, no death) — the replica-aware-routing win under skew.
-    std::printf("\n%-8s %-4s %14s %14s %9s\n", "skew", "rep", "legacy(s)",
-                "unified(s)", "delta");
-    for (std::size_t i = 0; i + 1 < rows.size(); i += 2) {
-        if (rows[i].death) continue;
-        const double legacy = rows[i].r.makespan.seconds();
-        const double unified = rows[i + 1].r.makespan.seconds();
-        std::printf("%-8s %-4zu %14.1f %14.1f %8.1f%%\n", rows[i].skew.c_str(),
-                    rows[i].replication, legacy, unified,
-                    100.0 * (unified - legacy) / legacy);
+    // Paired makespans: each no-death row against the replication-1 row of
+    // the same skew (same workload) — the replica-aware-routing win.
+    std::printf("\n%-8s %-4s %14s %14s %9s\n", "skew", "rep", "rep1(s)",
+                "repN(s)", "delta");
+    const Row* base = nullptr;
+    for (const Row& row : rows) {
+        if (row.death) continue;
+        if (row.replication == 1) base = &row;
+        const double rep1 = base->r.makespan.seconds();
+        const double repn = row.r.makespan.seconds();
+        std::printf("%-8s %-4zu %14.1f %14.1f %8.1f%%\n", row.skew.c_str(),
+                    row.replication, rep1, repn, 100.0 * (repn - rep1) / rep1);
     }
-    std::printf("\n(replication >= 2 lets the unified kernel serve the hot "
-                "node's reads from\n replicas; on the death rows the "
-                "survivors' disk utilisation rises in-kernel)\n");
+    std::printf("\n(replication >= 2 lets the kernel serve the hot node's "
+                "reads from\n replicas; on the death rows the survivors' disk "
+                "utilisation rises in-kernel)\n");
 
     std::ofstream json("BENCH_cluster_kernel.json");
     json << "{\n"
@@ -224,13 +213,13 @@ int main(int argc, char** argv) {
         std::snprintf(
             buf, sizeof buf,
             "    {\"skew\": \"%s\", \"replication\": %zu, \"death\": %s, "
-            "\"mode\": \"%s\", \"makespan_s\": %.3f, \"throughput_qps\": %.3f, "
+            "\"makespan_s\": %.3f, \"throughput_qps\": %.3f, "
             "\"replica_reads\": %llu, \"replica_share\": %.6f, "
             "\"rerouted_arrivals\": %llu, \"failovers\": %zu, "
             "\"requeued\": %zu, \"lost\": %zu, \"mean_disk_util\": %.6f, "
             "\"survivor_util_before\": %.6f, \"survivor_util_after\": %.6f}%s\n",
             row.skew.c_str(), row.replication, row.death ? "true" : "false",
-            row.unified ? "unified" : "legacy", r.makespan.seconds(),
+            r.makespan.seconds(),
             r.total_throughput_qps,
             static_cast<unsigned long long>(r.replica_reads), replica_share(r),
             static_cast<unsigned long long>(r.rerouted_arrivals), r.failovers,

@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
                     100.0 * (degraded.makespan.seconds() / report.makespan.seconds() - 1.0),
                     degraded.failovers, degraded.requeued_queries, degraded.lost_queries);
         std::puts("(the dead node's Morton range survives on its chained-declustering\n"
-                  " replica, which replays the unfinished tail after draining its own share)");
+                  " replica, which takes the unfinished tail in-kernel at the death instant)");
     }
     return 0;
 }

@@ -20,7 +20,6 @@ namespace {
 
 using jaws::core::CachePolicy;
 using jaws::core::ClusterConfig;
-using jaws::core::ClusterMode;
 using jaws::core::EngineConfig;
 using jaws::core::SchedulerKind;
 using jaws::fuzz::FuzzInput;
@@ -144,7 +143,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     decode_engine(in, cluster.node);
     cluster.nodes = in.below(17);  // includes the rejected 0-node case
     cluster.replication = in.below(21);
-    cluster.mode = static_cast<ClusterMode>(in.below(3));
     const std::size_t downs = in.below(4);
     for (std::size_t i = 0; i < downs; ++i) {
         jaws::storage::NodeDownEvent ev;

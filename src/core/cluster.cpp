@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <exception>
 #include <limits>
 #include <map>
 #include <memory>
@@ -14,9 +13,7 @@
 #include "core/engine.h"
 #include "storage/replica_router.h"
 #include "util/contracts.h"
-#include "util/mutex.h"
 #include "util/stats.h"
-#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
 namespace jaws::core {
@@ -104,64 +101,11 @@ std::vector<workload::Job> TurbulenceCluster::project(const workload::Job& job) 
     return projected;
 }
 
-std::vector<workload::Workload> TurbulenceCluster::partition(
-    const workload::Workload& workload) const {
-    std::vector<workload::Workload> parts(config_.nodes);
-    for (const auto& job : workload.jobs) {
-        std::vector<workload::Job> projected = project(job);
-        for (std::size_t n = 0; n < config_.nodes; ++n)
-            if (!projected[n].queries.empty())
-                parts[n].jobs.push_back(std::move(projected[n]));
-    }
-    return parts;
-}
-
 namespace {
 
-/// One node engine's result: its report plus, if it died mid-run, the share
-/// it left unfinished.
-struct NodeRun {
-    RunReport report;
-    workload::Workload leftover;
-};
-
-/// Mutex-guarded sink the parallel node engines write into. Results land in
-/// per-node slots so the aggregation below reads them in node order
-/// regardless of completion order; the first worker exception is rethrown
-/// on take() (matching the old future-based transport).
-class NodeRunCollector {
-  public:
-    explicit NodeRunCollector(std::size_t nodes) : runs_(nodes) {}
-
-    void set(std::size_t node, NodeRun run) {
-        util::MutexLock lock(mu_);
-        runs_[node] = std::move(run);
-    }
-
-    void record_error(std::exception_ptr error) noexcept {
-        util::MutexLock lock(mu_);
-        if (error_ == nullptr) error_ = std::move(error);
-    }
-
-    /// Call once, after every worker has finished.
-    std::vector<NodeRun> take() {
-        util::MutexLock lock(mu_);
-        if (error_ != nullptr) std::rethrow_exception(error_);
-        return std::move(runs_);
-    }
-
-  private:
-    util::Mutex mu_;
-    std::vector<NodeRun> runs_ GUARDED_BY(mu_);
-    std::exception_ptr error_ GUARDED_BY(mu_);
-};
-
 /// The portion of `jobs` that `outcomes` did not complete (a dead node's
-/// unfinished share), with jobs re-sequenced for a replica re-run. Works
-/// over any forward range of workload::Job (the legacy path passes a
-/// vector, the unified kernel its stable per-node deque).
-template <class JobRange>
-workload::Workload unfinished_part(const JobRange& jobs,
+/// unfinished share), with jobs re-sequenced for a replica re-run.
+workload::Workload unfinished_part(const std::deque<workload::Job>& jobs,
                                    const std::vector<QueryOutcome>& outcomes) {
     std::unordered_set<workload::QueryId> done;
     done.reserve(outcomes.size());
@@ -184,9 +128,8 @@ workload::Workload unfinished_part(const JobRange& jobs,
     return left;
 }
 
-/// Streaming aggregation of per-run reports into a ClusterReport, shared by
-/// the legacy and unified paths (weighted means, pooled tail percentiles and
-/// straight fault/hedge sums).
+/// Streaming aggregation of per-node reports into a ClusterReport (weighted
+/// means, pooled tail percentiles and straight fault/hedge sums).
 class Aggregator {
   public:
     explicit Aggregator(ClusterReport& report) : report_(report) {}
@@ -253,11 +196,11 @@ std::vector<util::SimTime> death_schedule(const ClusterConfig& config) {
     return death;
 }
 
-/// One evaluation pool shared across every node engine (and, on the legacy
-/// path, recovery run): real interpolation from all nodes multiplexes onto a
-/// single set of worker threads instead of each engine spawning
-/// nodes × workers of its own. Returns null (and leaves the template
-/// untouched) on descriptor-only runs or when the caller supplied a pool.
+/// One evaluation pool shared across every node engine: real interpolation
+/// from all nodes multiplexes onto a single set of worker threads instead of
+/// each engine spawning nodes × workers of its own. Returns null (and leaves
+/// the template untouched) on descriptor-only runs or when the caller
+/// supplied a pool.
 std::unique_ptr<util::ThreadPool> make_shared_eval(EngineConfig& node_template) {
     if (node_template.eval.pool != nullptr || !node_template.eval.parallel ||
         !node_template.materialize_data)
@@ -534,7 +477,7 @@ class UnifiedKernel final : public storage::ReplicaRouter {
         // Re-routed work extends the cluster span measured from the global
         // origin (a survivor that started late can end past every per-node
         // makespan); without failover the slowest node's own makespan is the
-        // cluster's, exactly as on the legacy path.
+        // cluster's, exactly as for isolated per-node engines.
         if (report_.failovers > 0 || report_.rerouted_arrivals > 0)
             for (std::size_t n = 0; n < config_.nodes; ++n)
                 if (first_injection_[n] != util::SimTime::max())
@@ -610,114 +553,11 @@ class UnifiedKernel final : public storage::ReplicaRouter {
 }  // namespace
 
 ClusterReport TurbulenceCluster::run(const workload::Workload& workload) const {
-    return config_.mode == ClusterMode::kLegacy ? run_legacy(workload)
-                                                : run_unified(workload);
-}
-
-ClusterReport TurbulenceCluster::run_unified(const workload::Workload& workload) const {
     EngineConfig node_template = config_.node;
     const std::unique_ptr<util::ThreadPool> shared_eval =
         make_shared_eval(node_template);
     UnifiedKernel kernel(*this, config_, node_template, death_schedule(config_));
     return kernel.run(workload);
-}
-
-ClusterReport TurbulenceCluster::run_legacy(const workload::Workload& workload) const {
-    const std::vector<workload::Workload> parts = partition(workload);
-    const std::vector<util::SimTime> death = death_schedule(config_);
-
-    EngineConfig node_template = config_.node;
-    const std::unique_ptr<util::ThreadPool> shared_eval =
-        make_shared_eval(node_template);
-
-    util::ThreadPool pool(std::min<std::size_t>(config_.nodes, 8));
-    NodeRunCollector collector(parts.size());
-    for (std::size_t n = 0; n < parts.size(); ++n) {
-        pool.submit([&parts, &death, &collector, &node_template, n] {
-            try {
-                NodeRun out;
-                const workload::Workload& part = parts[n];
-                if (!part.jobs.empty()) {
-                    EngineConfig cfg = node_template;
-                    cfg.halt_at = death[n];
-                    Engine engine(cfg);
-                    out.report = engine.run(part);
-                    if (out.report.halted)
-                        out.leftover = unfinished_part(part.jobs, engine.outcomes());
-                }
-                collector.set(n, std::move(out));
-            } catch (...) {
-                collector.record_error(std::current_exception());
-            }
-        });
-    }
-    pool.wait_idle();
-    std::vector<NodeRun> node_runs = collector.take();
-
-    ClusterReport report;
-    Aggregator agg(report);
-
-    // When a node dies its share finishes on a replica; the replica can only
-    // start the re-run once it has drained its own share, so track each
-    // node's busy-until time (in the shared virtual timeline).
-    std::vector<util::SimTime> busy_until(config_.nodes, util::SimTime::zero());
-    std::vector<workload::Workload> leftovers(config_.nodes);
-    for (std::size_t n = 0; n < node_runs.size(); ++n) {
-        NodeRun run = std::move(node_runs[n]);
-        report.makespan = std::max(report.makespan, run.report.makespan);
-        agg.accumulate(run.report);
-        if (!parts[n].jobs.empty())
-            busy_until[n] = parts[n].jobs.front().arrival + run.report.makespan;
-        report.per_node.push_back(std::move(run.report));
-        leftovers[n] = std::move(run.leftover);
-    }
-
-    const util::SimTime global_start =
-        workload.jobs.empty() ? util::SimTime::zero() : workload.jobs.front().arrival;
-    for (std::size_t d = 0; d < config_.nodes; ++d) {
-        if (death[d] == util::SimTime::max()) continue;
-        ++report.dead_nodes;
-        const workload::Workload& left = leftovers[d];
-        if (left.jobs.empty()) continue;  // died with nothing outstanding
-
-        // First surviving holder of d's Morton range under chained
-        // declustering: nodes d+1 .. d+replication-1 (mod N).
-        std::size_t replica = config_.nodes;
-        for (std::size_t r = 1; r < config_.replication; ++r) {
-            const std::size_t cand = (d + r) % config_.nodes;
-            if (death[cand] == util::SimTime::max()) {
-                replica = cand;
-                break;
-            }
-        }
-        if (replica == config_.nodes) {
-            // No surviving copy of the range: the work is lost, reported.
-            report.lost_queries += left.total_queries();
-            continue;
-        }
-
-        // The replica picks up the dead node's share once it has both seen
-        // the death and finished its own (and any earlier recovery) work.
-        const util::SimTime recovery_start = std::max(death[d], busy_until[replica]);
-        workload::Workload rerun = left;
-        for (workload::Job& job : rerun.jobs)
-            job.arrival = std::max(job.arrival, recovery_start);
-        report.requeued_queries += rerun.total_queries();
-
-        Engine engine(node_template);
-        RunReport rec = engine.run(rerun);
-        ++report.failovers;
-        agg.accumulate(rec);
-        const util::SimTime rec_end = rerun.jobs.front().arrival + rec.makespan;
-        busy_until[replica] = rec_end;
-        // Degraded makespan: the recovery tail extends the cluster span,
-        // measured from the workload's first arrival.
-        report.makespan = std::max(report.makespan, rec_end - global_start);
-        report.recovery.push_back(std::move(rec));
-    }
-
-    agg.finalize();
-    return report;
 }
 
 }  // namespace jaws::core

@@ -82,16 +82,6 @@ struct EvalSpec {
     /// RunReport::eval_wall_ns. Bench-only, like CacheSpec's equivalent:
     /// deterministic runs keep it off.
     bool wall_clock_timing = false;
-
-    /// Run materialised sub-query interpolation through the batched
-    /// SIMD-friendly kernel (field::BatchInterpolator: Morton-blocked
-    /// traversal, SoA weight planes, fixed-trip-count vectorizable
-    /// stencils) instead of the historical one-position-at-a-time scalar
-    /// loop. Bit-identical either way — the equivalence suites pin batched
-    /// == scalar digests — so this is a pure throughput knob; off exists
-    /// for A/B benchmarking (bench/micro_primitives) and regression
-    /// triage.
-    bool batch = true;
 };
 
 /// Recovery policy for injected transient read errors: failed demand reads

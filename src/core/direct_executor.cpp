@@ -14,7 +14,7 @@ DirectExecutor::DirectExecutor(const EngineConfig& config)
                                     /*io_channels=*/1,
                                     /*materialize_data=*/true, config.faults}),
       cache_(config.cache.capacity_atoms, std::make_unique<cache::LruPolicy>()),
-      db_(config.grid, config.compute, config.eval.batch) {
+      db_(config.grid, config.compute) {
     if (config.cache.wall_clock_overhead) cache_.set_tick_source(util::wall_clock_ns);
     const std::size_t eval_threads =
         config.eval.threads != 0 ? config.eval.threads : config.compute_workers;

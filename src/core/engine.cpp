@@ -58,7 +58,7 @@ Engine::Engine(const EngineConfig& config, util::EventQueue* shared_events,
       store_(storage::AtomStoreSpec{config.grid, config.field, config.disk,
                                     config.io_depth, config.materialize_data,
                                     config.faults}),
-      db_(config.grid, config.compute, config.eval.batch),
+      db_(config.grid, config.compute),
       disk_res_(events_, config.io_depth, kPriService, node_id.value()),
       cpu_res_(events_, config.compute_workers, kPriService, node_id.value()),
       read_ewma_(config.hedge.ewma_alpha) {

@@ -36,28 +36,17 @@ void fill_response_stats(const std::vector<QueryOutcome>& outcomes, RunReport& r
     }
     util::RunningStats stats;
     std::vector<double> samples;
-    std::vector<double> completions;
     samples.reserve(outcomes.size());
-    completions.reserve(outcomes.size());
     for (const auto& o : outcomes) {
         const double ms = o.response().millis();
         stats.add(ms);
         samples.push_back(ms);
-        completions.push_back(o.completed.seconds());
     }
     report.mean_response_ms = stats.mean();
     report.median_response_ms = util::percentile(samples, 50.0);
     report.p95_response_ms = util::percentile(samples, 95.0);
     report.p99_response_ms = util::percentile(samples, 99.0);
     report.p999_response_ms = util::percentile(samples, 99.9);
-
-    const double t10 = util::percentile(completions, 10.0);
-    const double t90 = util::percentile(completions, 90.0);
-    if (t90 > t10)
-        report.steady_throughput_qps =
-            0.8 * static_cast<double>(outcomes.size()) / (t90 - t10);
-    else
-        report.steady_throughput_qps = report.throughput_qps;
     report.response_ms = std::move(samples);
 }
 

@@ -85,12 +85,6 @@ struct RunReport {
     std::size_t jobs = 0;
     util::SimTime makespan;           ///< Virtual time from start to last completion.
     double throughput_qps = 0.0;      ///< queries / makespan (virtual seconds).
-    /// Steady-state throughput: queries completed between the 10th and 90th
-    /// completion percentiles divided by that window. Excludes the warm-up
-    /// ramp and the closed-loop cool-down tail, where every scheduler is
-    /// bound by individual job chains rather than by service capacity; this
-    /// is the saturated-regime figure the paper's comparisons are about.
-    double steady_throughput_qps = 0.0;
     /// Queries per *busy* virtual second: idle spans, where the engine had no
     /// schedulable work and jumped to the next arrival/visibility event, are
     /// excluded. Under sustained backlog this equals the node's service

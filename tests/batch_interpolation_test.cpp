@@ -19,6 +19,7 @@
 #include "field/grid.h"
 #include "field/interpolation.h"
 #include "field/synthetic_field.h"
+#include "util/morton.h"
 #include "util/rng.h"
 
 namespace jaws::field {
@@ -176,33 +177,38 @@ TEST(BatchInterpolationGolden, DigestsPinned) {
     }
 }
 
-// The EvalSpec::batch knob is a pure throughput A/B: both settings must
-// produce bit-identical samples and identical modeled costs end to end.
-TEST(DirectExecutorBatchKnob, OnOffBitIdentical) {
+// End to end through the database node: DirectExecutor reads the atom from
+// its store (synthesised exactly like the fixture block), evaluates it on the
+// batched kernel, and must return the scalar oracle's samples bit for bit.
+TEST(DirectExecutorOracle, BitIdenticalToScalarReferenceAtEveryOrder) {
     core::EngineConfig config;
     config.grid = test_grid();
     config.field = test_field();
-    config.grid.timesteps = 4;
     config.cache.capacity_atoms = 16;
-    core::EngineConfig scalar_config = config;
-    scalar_config.eval.batch = false;
+    core::DirectExecutor exec(config);
 
-    core::DirectExecutor batched(config);
-    core::DirectExecutor scalar(scalar_config);
-    util::Rng rng(41);
+    const GridSpec grid = test_grid();
+    const SyntheticField synth(test_field());
+    const util::Coord3 atom{1, 2, 3};
+    const VoxelBlock block(grid, synth, atom, 1);
+    // Keep the positions the executor files under this atom: make_positions'
+    // upper-face points belong to the neighbouring atom.
     std::vector<Vec3> positions;
-    for (int i = 0; i < 300; ++i)
-        positions.push_back({rng.uniform(), rng.uniform(), rng.uniform()});
+    for (const Vec3& p : make_positions(grid, atom, 300, 41))
+        if (grid.atom_morton_of(p) == util::morton_encode(atom)) positions.push_back(p);
+    ASSERT_GT(positions.size(), 100u);
+
     for (const InterpOrder order : kOrders) {
-        const core::DirectResult a = batched.evaluate(2, positions, order);
-        const core::DirectResult b = scalar.evaluate(2, positions, order);
-        ASSERT_EQ(a.samples.size(), b.samples.size());
-        ASSERT_EQ(std::memcmp(a.samples.data(), b.samples.data(),
-                              a.samples.size() * sizeof(FlowSample)),
+        const core::DirectResult got = exec.evaluate(1, positions, order);
+        const std::vector<FlowSample> want =
+            scalar_reference(grid, block, atom, positions, order);
+        ASSERT_EQ(got.samples.size(), want.size());
+        ASSERT_EQ(std::memcmp(got.samples.data(), want.data(),
+                              want.size() * sizeof(FlowSample)),
                   0)
             << "order " << static_cast<int>(order);
-        EXPECT_EQ(a.virtual_cost, b.virtual_cost);
     }
+    EXPECT_EQ(exec.cache_stats().misses, 1u);  // one atom, read once
 }
 
 }  // namespace

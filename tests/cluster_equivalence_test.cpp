@@ -1,24 +1,28 @@
-// Unified-kernel vs legacy cluster equivalence harness (core/cluster.h).
+// Cluster kernel vs isolated per-node engines (core/cluster.h).
 //
 // The contract under test: at replication = 1 with no node deaths, the
-// unified kernel (one shared EventQueue, route-time arrivals, replica-aware
-// reads) produces per-query outcomes and sample digests bit-identical to the
-// legacy per-node path (N isolated engines over a partition-time split) —
-// the cross-node tie-break (time, priority, node, insertion) degenerates to
-// each node's private order, and self-routing is the identity. The golden
-// row pins the shared trace so a silent divergence in either path fails
-// loudly. Beyond the pinned regime, the suite covers what only the unified
+// cluster kernel (one shared EventQueue, route-time arrivals, replica-aware
+// reads) produces per-query outcomes and sample digests bit-identical to N
+// isolated engines, each running its node's share of the workload (project()
+// folded over the jobs) — the cross-node tie-break (time, priority, node,
+// insertion) degenerates to each node's private order, and self-routing is
+// the identity. The golden row pins the shared trace so a silent divergence
+// fails loudly. Beyond the pinned regime, the suite covers what only a shared
 // kernel can do: replica-served reads, in-kernel failover into survivors'
 // resources, and the merged cluster timeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/cluster.h"
 #include "core/engine.h"
 #include "core/metrics.h"
+#include "util/stats.h"
 #include "workload/generator.h"
 
 namespace jaws::core {
@@ -26,10 +30,9 @@ namespace {
 
 // --- materialised fixture: real payloads, real digests --------------------
 
-ClusterConfig fixture_cluster(std::size_t nodes, ClusterMode mode) {
+ClusterConfig fixture_cluster(std::size_t nodes) {
     ClusterConfig c;
     c.nodes = nodes;
-    c.mode = mode;
     c.node.grid.voxels_per_side = 128;
     c.node.grid.atom_side = 32;
     c.node.grid.ghost = 4;
@@ -55,6 +58,53 @@ workload::Workload fixture_workload(const ClusterConfig& c, std::size_t jobs = 8
     return w;
 }
 
+/// Each node's share of `w`: project() folded over the jobs (queries keep
+/// their IDs, jobs that miss the node are dropped).
+std::vector<workload::Workload> node_shares(const ClusterConfig& config,
+                                            const workload::Workload& w) {
+    const TurbulenceCluster cluster(config);
+    std::vector<workload::Workload> shares(config.nodes);
+    for (const workload::Job& job : w.jobs) {
+        std::vector<workload::Job> projected = cluster.project(job);
+        for (std::size_t n = 0; n < config.nodes; ++n)
+            if (!projected[n].queries.empty())
+                shares[n].jobs.push_back(std::move(projected[n]));
+    }
+    return shares;
+}
+
+/// The reference the kernel must match: every node's share run on its own
+/// standalone engine, with the cluster-level figures derived from those
+/// reports in node order (makespan of the slowest node, part-weighted mean
+/// response, pooled tail percentiles).
+ClusterReport isolated_engines(const ClusterConfig& config, const workload::Workload& w) {
+    ClusterReport ref;
+    std::size_t parts = 0;
+    double weighted_rt = 0.0;
+    std::uint64_t hits = 0, misses = 0;
+    std::vector<double> pooled_ms;
+    for (const workload::Workload& share : node_shares(config, w)) {
+        RunReport r;
+        if (!share.jobs.empty()) r = Engine(config.node).run(share);
+        ref.makespan = std::max(ref.makespan, r.makespan);
+        parts += r.queries;
+        weighted_rt += r.mean_response_ms * static_cast<double>(r.queries);
+        hits += r.cache.hits;
+        misses += r.cache.misses;
+        pooled_ms.insert(pooled_ms.end(), r.response_ms.begin(), r.response_ms.end());
+        ref.per_node.push_back(std::move(r));
+    }
+    ref.total_throughput_qps =
+        static_cast<double>(parts) / std::max(1e-9, ref.makespan.seconds());
+    ref.mean_response_ms = parts ? weighted_rt / static_cast<double>(parts) : 0.0;
+    ref.cache_hit_rate =
+        (hits + misses) ? static_cast<double>(hits) / static_cast<double>(hits + misses)
+                        : 0.0;
+    ref.p999_response_ms = util::percentile(pooled_ms, 99.9);
+    ref.p99_response_ms = util::percentile(std::move(pooled_ms), 99.0);
+    return ref;
+}
+
 void expect_node_reports_identical(const RunReport& u, const RunReport& l) {
     EXPECT_EQ(u.queries, l.queries);
     EXPECT_EQ(u.jobs, l.jobs);
@@ -77,15 +127,16 @@ void expect_node_reports_identical(const RunReport& u, const RunReport& l) {
         EXPECT_EQ(u.response_ms[i], l.response_ms[i]);
 }
 
+// "Legacy" names the reference: N isolated per-node engines, which is how the
+// cluster ran before the shared kernel existed.
 TEST(ClusterEquivalence, UnifiedMatchesLegacyBitExactlyAtReplicationOne) {
     for (const std::size_t nodes : {std::size_t{1}, std::size_t{3}}) {
         SCOPED_TRACE("nodes=" + std::to_string(nodes));
-        const ClusterConfig unified = fixture_cluster(nodes, ClusterMode::kUnified);
-        const ClusterConfig legacy = fixture_cluster(nodes, ClusterMode::kLegacy);
-        const workload::Workload w = fixture_workload(unified);
+        const ClusterConfig config = fixture_cluster(nodes);
+        const workload::Workload w = fixture_workload(config);
 
-        const ClusterReport ru = TurbulenceCluster(unified).run(w);
-        const ClusterReport rl = TurbulenceCluster(legacy).run(w);
+        const ClusterReport ru = TurbulenceCluster(config).run(w);
+        const ClusterReport rl = isolated_engines(config, w);
 
         ASSERT_EQ(ru.per_node.size(), nodes);
         ASSERT_EQ(rl.per_node.size(), nodes);
@@ -103,22 +154,22 @@ TEST(ClusterEquivalence, UnifiedMatchesLegacyBitExactlyAtReplicationOne) {
         // Routing accounting: everything routed to its owner, nothing moved
         // or lost, no cross-node reads at replication 1.
         std::size_t projected = 0;
-        for (const auto& part : TurbulenceCluster(unified).partition(w))
-            projected += part.total_queries();
+        for (const auto& share : node_shares(config, w)) projected += share.total_queries();
         EXPECT_EQ(ru.routed_queries, projected);
         EXPECT_EQ(ru.rerouted_arrivals, 0u);
         EXPECT_EQ(ru.replica_reads, 0u);
         EXPECT_EQ(ru.lost_queries, 0u);
-        EXPECT_EQ(rl.routed_queries, 0u);  // legacy path does not route
     }
 }
 
-// Golden-pinned trace of the 3-node fixture, captured when the unified
-// kernel was introduced (unified and legacy agreed bit-for-bit at capture
-// time, and the test above keeps proving they agree). If this row breaks,
-// the virtual schedule, the partition split or the reduction order changed.
+// Golden-pinned trace of the 3-node fixture, captured when the shared kernel
+// was introduced and its materialised evaluation still ran the scalar
+// interpolation loop (the kernel matched isolated engines bit-for-bit at
+// capture time, and the test above keeps proving it does). If this row
+// breaks, the virtual schedule, the projection split, the interpolation
+// values or the reduction order changed.
 TEST(ClusterEquivalence, GoldenPinnedThreeNodeTrace) {
-    const ClusterConfig config = fixture_cluster(3, ClusterMode::kUnified);
+    const ClusterConfig config = fixture_cluster(3);
     const workload::Workload w = fixture_workload(config);
     const ClusterReport r = TurbulenceCluster(config).run(w);
 
@@ -166,7 +217,6 @@ workload::Job single_query_job(workload::QueryId qid, std::uint64_t morton,
 std::size_t completed_parts(const ClusterReport& r) {
     std::size_t total = 0;
     for (const auto& n : r.per_node) total += n.queries;
-    for (const auto& n : r.recovery) total += n.queries;
     return total;
 }
 
@@ -174,8 +224,7 @@ TEST(ClusterReplicaReads, ReplicatedReadsSpreadOntoTheChain) {
     // Two nodes, replication 2: every atom is readable on both. Jobs hammer
     // node 0's range (morton 0..3) in quick succession, so node 0's modeled
     // disk queue is deeper than node 1's when reads are routed — the kernel
-    // serves part of them from the replica. Nothing of this exists on the
-    // legacy path. io_depth 4 keeps several reads in flight per node — with
+    // serves part of them from the replica. io_depth 4 keeps several reads in flight per node — with
     // a pipeline window of 1 the owner's disk is idle at every route instant
     // and the chain never diverts; the 1 ms arrival spacing builds the
     // owner-side backlog the divert margin requires.
@@ -236,11 +285,11 @@ TEST(ClusterFailover, InKernelFailoverAbsorbsTheDeadNodesWork) {
     EXPECT_TRUE(r.recovery.empty());  // absorbed in-kernel, not re-run after
     EXPECT_EQ(completed_parts(r), 24u);
 
-    // The survivor completed strictly more than its own partition share.
-    const auto parts = cluster.partition(w);
-    EXPECT_GT(r.per_node[1].queries, parts[1].total_queries());
+    // The survivor completed strictly more than its own projected share.
+    const auto shares = node_shares(config, w);
+    EXPECT_GT(r.per_node[1].queries, shares[1].total_queries());
     // And the dead node stopped short.
-    EXPECT_LT(r.per_node[0].queries, parts[0].total_queries());
+    EXPECT_LT(r.per_node[0].queries, shares[0].total_queries());
 }
 
 TEST(ClusterFailover, NoSurvivingReplicaLosesTheTailInKernel) {
@@ -312,36 +361,14 @@ TEST(ClusterTimeline, MergedClusterTimelineCoversEveryNodeCompletion) {
         EXPECT_LT(r.timeline[i - 1].window_end.micros, r.timeline[i].window_end.micros);
 }
 
-TEST(ClusterLegacyMode, PostHocRecoveryPathStillWorks) {
-    // The golden baseline stays exercisable: legacy mode re-runs a dead
-    // node's share on a fresh replica engine after the fact.
-    ClusterConfig config = tiny_cluster(2, 2);
-    config.mode = ClusterMode::kLegacy;
-    config.node.faults.node_down.push_back(
-        storage::NodeDownEvent{util::NodeIndex{0}, util::SimTime::from_millis(300.0)});
-    workload::Workload w;
-    for (workload::QueryId i = 1; i <= 24; ++i)
-        w.jobs.push_back(single_query_job(
-            i, i % 8, util::SimTime::from_millis(static_cast<double>(i) * 40.0)));
-    const ClusterReport r = TurbulenceCluster(config).run(w);
-    EXPECT_EQ(r.dead_nodes, 1u);
-    EXPECT_GE(r.failovers, 1u);
-    EXPECT_EQ(r.lost_queries, 0u);
-    ASSERT_FALSE(r.recovery.empty());
-    EXPECT_EQ(completed_parts(r), 24u);
-    EXPECT_EQ(r.routed_queries, 0u);
-    EXPECT_EQ(r.replica_reads, 0u);
-}
-
 TEST(ClusterEquivalence, MaterializedRunRejectsKernelsWiderThanGhost) {
     // With real data an interpolation kernel must fit inside the atom's
     // ghost region (descriptor-only runs model the spill as support reads;
     // the data path cannot). An order-8 kernel against ghost=2 must throw
-    // from workload intake — in both modes — instead of reading out of
-    // bounds inside field::interpolate.
-    for (const ClusterMode mode : {ClusterMode::kUnified, ClusterMode::kLegacy}) {
+    // from workload intake instead of reading out of bounds inside the
+    // interpolation kernel.
+    {
         ClusterConfig config = tiny_cluster(2, 1);
-        config.mode = mode;
         config.node.materialize_data = true;
         workload::Workload w;
         w.jobs.push_back(single_query_job(1, 0, util::SimTime::zero()));

@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/cluster.h"
 #include "core/engine.h"
@@ -33,6 +35,21 @@ workload::Workload small_workload(const ClusterConfig& config, std::size_t jobs 
     spec.seed = 41;
     const field::SyntheticField field(config.node.field);
     return workload::generate_workload(spec, config.node.grid, field);
+}
+
+/// Each node's share of `w`: project() folded over the jobs (queries keep
+/// their IDs, jobs that miss the node are dropped).
+std::vector<workload::Workload> node_shares(const ClusterConfig& config,
+                                            const workload::Workload& w) {
+    const TurbulenceCluster cluster(config);
+    std::vector<workload::Workload> shares(config.nodes);
+    for (const workload::Job& job : w.jobs) {
+        std::vector<workload::Job> projected = cluster.project(job);
+        for (std::size_t n = 0; n < config.nodes; ++n)
+            if (!projected[n].queries.empty())
+                shares[n].jobs.push_back(std::move(projected[n]));
+    }
+    return shares;
 }
 
 TEST(ClusterNodeOf, CoversAllNodesContiguously) {
@@ -189,8 +206,7 @@ TEST(ClusterValidate, AcceptsDistinctDeathsOnDistinctNodes) {
 TEST(ClusterPartition, PreservesEveryAtomRequest) {
     const ClusterConfig config = small_cluster(4);
     const workload::Workload w = small_workload(config);
-    TurbulenceCluster cluster(config);
-    const auto parts = cluster.partition(w);
+    const auto parts = node_shares(config, w);
     ASSERT_EQ(parts.size(), 4u);
 
     std::uint64_t original_positions = 0, split_positions = 0;
@@ -213,8 +229,7 @@ TEST(ClusterPartition, PreservesEveryAtomRequest) {
 TEST(ClusterPartition, EachPartOwnsOnlyItsAtoms) {
     const ClusterConfig config = small_cluster(4);
     const workload::Workload w = small_workload(config);
-    TurbulenceCluster cluster(config);
-    const auto parts = cluster.partition(w);
+    const auto parts = node_shares(config, w);
     const std::uint64_t aps = config.node.grid.atoms_per_step();
     for (std::size_t n = 0; n < parts.size(); ++n)
         for (const auto& job : parts[n].jobs)
@@ -226,8 +241,7 @@ TEST(ClusterPartition, EachPartOwnsOnlyItsAtoms) {
 TEST(ClusterPartition, SequencesStayContiguous) {
     const ClusterConfig config = small_cluster(4);
     const workload::Workload w = small_workload(config);
-    TurbulenceCluster cluster(config);
-    for (const auto& part : cluster.partition(w))
+    for (const auto& part : node_shares(config, w))
         for (const auto& job : part.jobs) {
             ASSERT_FALSE(job.queries.empty());
             for (std::size_t i = 0; i < job.queries.size(); ++i)

@@ -25,7 +25,6 @@ TEST(Metrics, FillResponseStatsEmptyIsNoop) {
     RunReport report;
     fill_response_stats({}, report);
     EXPECT_EQ(report.mean_response_ms, 0.0);
-    EXPECT_EQ(report.steady_throughput_qps, 0.0);
 }
 
 TEST(Metrics, EmptyRunPercentilesAreNaNAndRenderAsNA) {
@@ -60,24 +59,6 @@ TEST(Metrics, FillResponseStatsMeanMedianP95) {
     EXPECT_NEAR(report.mean_response_ms, 50.5, 1e-9);
     EXPECT_NEAR(report.median_response_ms, 50.5, 0.6);
     EXPECT_NEAR(report.p95_response_ms, 95.05, 0.6);
-}
-
-TEST(Metrics, SteadyThroughputUsesPercentileWindow) {
-    // 100 completions spread uniformly over [0, 100] s: t10 ~ 10.9 s,
-    // t90 ~ 90.1 s -> steady tp ~ 80 / 79.2.
-    std::vector<QueryOutcome> outcomes;
-    for (int i = 1; i <= 100; ++i) outcomes.push_back(outcome(0.0, i * 1.0));
-    RunReport report;
-    fill_response_stats(outcomes, report);
-    EXPECT_NEAR(report.steady_throughput_qps, 1.0, 0.05);
-}
-
-TEST(Metrics, SteadyThroughputDegenerateWindowFallsBack) {
-    std::vector<QueryOutcome> outcomes(5, outcome(0.0, 1.0));  // all at once
-    RunReport report;
-    report.throughput_qps = 7.0;
-    fill_response_stats(outcomes, report);
-    EXPECT_DOUBLE_EQ(report.steady_throughput_qps, 7.0);
 }
 
 TEST(Metrics, SummaryMentionsSchedulerAndNumbers) {

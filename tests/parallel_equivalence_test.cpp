@@ -109,30 +109,6 @@ TEST(ParallelEquivalence, PooledEvalIsBitIdenticalToInlineAtEveryWorkerCount) {
     }
 }
 
-TEST(ParallelEquivalence, BatchedKernelIsBitIdenticalToScalarKernel) {
-    // EvalSpec::batch switches the materialised hot path between the scalar
-    // one-position-at-a-time kernel and field::BatchInterpolator. The knob
-    // must be invisible in every report field and digest — same contract as
-    // pooled vs inline — in both inline and pooled evaluation shapes.
-    for (const bool parallel : {false, true}) {
-        SCOPED_TRACE(parallel ? "pooled" : "inline");
-        EngineConfig batched_cfg = fixture_config(2, parallel);
-        batched_cfg.eval.batch = true;
-        const workload::Workload work = fixture_workload(batched_cfg);
-
-        Engine batched(batched_cfg);
-        const RunReport rb = batched.run(work);
-        EngineConfig scalar_cfg = batched_cfg;
-        scalar_cfg.eval.batch = false;
-        Engine scalar(scalar_cfg);
-        const RunReport rs = scalar.run(work);
-
-        EXPECT_GT(rb.samples_evaluated, 0u);
-        expect_reports_identical(rb, rs);
-        expect_outcomes_identical(batched.outcomes(), scalar.outcomes());
-    }
-}
-
 TEST(ParallelEquivalence, RepeatedPooledRunsAreBitIdentical) {
     for (const std::size_t w : kWorkerCounts) {
         SCOPED_TRACE("compute_workers=" + std::to_string(w));

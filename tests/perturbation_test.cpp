@@ -132,7 +132,6 @@ std::uint64_t fingerprint(const ClusterReport& r) {
     fold(r.degraded_queries);
     fold(static_cast<std::uint64_t>(r.failovers));
     for (const RunReport& node : r.per_node) fold(fingerprint(node));
-    for (const RunReport& rec : r.recovery) fold(fingerprint(rec));
     return h;
 }
 

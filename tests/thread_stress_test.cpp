@@ -2,9 +2,9 @@
 //
 // These tests exist primarily as ThreadSanitizer targets (the `tsan` preset
 // runs the full suite): they force real contention on every mutex-protected
-// structure this repository owns — the thread pool's queue, the logger's
-// sink, and the cluster facade's node fan-out — so data races surface as
-// TSan reports instead of flaky goldens. They also pin the determinism
+// structure this repository owns — the thread pool's queue and the logger's
+// sink — and run whole cluster simulations concurrently, so data races
+// surface as TSan reports instead of flaky goldens. They also pin the determinism
 // contract that motivates the whole layer: concurrent runs of the same
 // configuration must produce bit-identical reports.
 #include <gtest/gtest.h>
@@ -121,10 +121,6 @@ TEST(ThreadStress, ConcurrentLoggingThroughGuardedSink) {
 
 core::ClusterConfig stress_cluster_config() {
     core::ClusterConfig config;
-    // Pinned to the legacy per-node path: this test exists to race N node
-    // engines on a thread pool (nested parallelism); the unified kernel is
-    // single-threaded per run and is covered by cluster_equivalence_test.
-    config.mode = core::ClusterMode::kLegacy;
     config.nodes = 4;
     config.replication = 2;
     config.node.grid.voxels_per_side = 128;
@@ -133,8 +129,8 @@ core::ClusterConfig stress_cluster_config() {
     config.node.field.modes = 4;
     config.node.cache.capacity_atoms = 16;
     config.node.run_length = 25;
-    // Kill a node mid-run so the failover/recovery path runs concurrently
-    // with the surviving nodes' engines.
+    // Kill a node mid-run so in-kernel failover runs concurrently with the
+    // other threads' cluster runs.
     config.node.faults.node_down.push_back(
         storage::NodeDownEvent{util::NodeIndex{1}, util::SimTime::from_seconds(30.0)});
     return config;
@@ -149,10 +145,10 @@ workload::Workload stress_cluster_workload(const core::ClusterConfig& config) {
 }
 
 TEST(ThreadStress, ParallelClusterRunsAreRaceFreeAndIdentical) {
-    // Two whole cluster runs execute concurrently, each fanning its node
-    // engines out on its own thread pool (nested parallelism), while this
-    // thread runs a third. Determinism contract: all three reports are
-    // bit-identical even though their interleavings differ completely.
+    // Two whole cluster runs execute concurrently on their own threads, each
+    // driving its own shared event kernel, while this thread runs a third.
+    // Determinism contract: all three reports are bit-identical even though
+    // their thread interleavings differ completely.
     const core::ClusterConfig config = stress_cluster_config();
     const workload::Workload workload = stress_cluster_workload(config);
 
