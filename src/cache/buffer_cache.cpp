@@ -35,13 +35,15 @@ BufferCache::BufferCache(std::size_t capacity_atoms,
     assert(policy_ != nullptr);
 }
 
-bool BufferCache::lookup(const storage::AtomId& atom) {
+bool BufferCache::lookup(const storage::AtomId& atom,
+                         std::shared_ptr<const field::VoxelBlock>* payload) {
     const auto it = resident_.find(atom);
     if (it == resident_.end()) {
         ++stats_.misses;
         return false;
     }
     ++stats_.hits;
+    if (payload != nullptr) *payload = it->second;
     OverheadTimer timer(stats_.policy_overhead_ns, ticks_);
     policy_->on_access(atom);
     return true;

@@ -54,9 +54,11 @@ class BufferCache {
     /// util::wall_clock_ns here; reproducible runs keep the default.
     void set_tick_source(TickSource ticks) noexcept { ticks_ = ticks; }
 
-    /// Probe for `atom`. On a hit, notifies the policy and returns true.
-    /// On a miss returns false (caller performs the I/O and calls insert).
-    bool lookup(const storage::AtomId& atom);
+    /// Probe for `atom`. On a hit, notifies the policy, copies the atom's
+    /// payload to `*payload` when one is asked for, and returns true. On a
+    /// miss returns false (caller performs the I/O and calls insert).
+    bool lookup(const storage::AtomId& atom,
+                std::shared_ptr<const field::VoxelBlock>* payload = nullptr);
 
     /// Make `atom` resident (with optional payload), evicting if full.
     /// Inserting an already-resident atom just refreshes its payload.

@@ -6,12 +6,18 @@
 // one-shot scans cannot flush frequently reused atoms. We keep a bounded
 // retained-history table for recently evicted atoms, as the original paper
 // prescribes, so re-admitted atoms do not lose their reference history.
+//
+// Residents are kept in an ordered index on the eviction key
+// (kth_ref, most recent ref, atom), a strict total order (reference ticks are
+// unique), so the victim is the index's first entry: O(log n) per reference
+// instead of a scan over every resident per eviction.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <set>
+#include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "cache/replacement_policy.h"
 
@@ -35,18 +41,24 @@ class LruKPolicy final : public ReplacementPolicy {
     struct History {
         // Most recent reference first; at most k_ entries.
         std::deque<std::uint64_t> refs;
+        bool resident = false;
     };
+    /// Eviction key: smallest evicts first.
+    using Key = std::tuple<std::uint64_t, std::uint64_t, storage::AtomId>;
 
-    void touch(const storage::AtomId& atom);
+    void touch(History& h);
     /// Backward K-distance: the time of the K-th most recent reference, or 0
     /// ("infinitely old") if the atom has fewer than K references.
     std::uint64_t kth_ref(const History& h) const noexcept;
+    Key key(const storage::AtomId& atom, const History& h) const noexcept {
+        return {kth_ref(h), h.refs.front(), atom};
+    }
 
     unsigned k_;
     std::size_t retained_cap_;
     std::uint64_t tick_ = 0;
     std::unordered_map<storage::AtomId, History, storage::AtomIdHash> history_;
-    std::unordered_set<storage::AtomId, storage::AtomIdHash> resident_;
+    std::set<Key> index_;  ///< One entry per resident atom.
     // FIFO of evicted atoms whose history is retained, for bounded cleanup.
     std::deque<storage::AtomId> retained_fifo_;
 };

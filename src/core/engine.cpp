@@ -270,7 +270,7 @@ void Engine::issue_item(std::size_t idx) {
     ItemRun& it = batch_->items[idx];
     ++atoms_processed_;
     if (prefetcher_ != nullptr) prefetcher_->on_demand_access(it.item.atom);
-    if (cache_->lookup(it.item.atom)) {
+    if (cache_->lookup(it.item.atom, &it.payload)) {
         proceed_supports(idx);
         return;
     }
@@ -316,6 +316,7 @@ void Engine::demand_read_done(std::size_t idx) {
         if (config_.hedge.enabled) read_ewma_.update(it.read.io_cost.millis());
         cancel_hedge_machinery(idx);
         ++atom_reads_;
+        it.payload = it.read.data;
         insert_into_cache(it.item.atom, std::move(it.read.data));
         proceed_supports(idx);
         return;
@@ -470,6 +471,7 @@ void Engine::hedge_done(std::size_t idx) {
         it.retry_event = 0;
     }
     ++atom_reads_;
+    it.payload = it.hedge_read.data;
     insert_into_cache(it.item.atom, std::move(it.hedge_read.data));
     proceed_supports(idx);
 }
@@ -573,7 +575,6 @@ void Engine::proceed_supports(std::size_t idx) {
 
 void Engine::begin_compute(std::size_t idx) {
     ItemRun& it = batch_->items[idx];
-    it.payload = cache_->payload(it.item.atom);
     it.next_sub = 0;
     if (it.item.subqueries.empty()) {
         item_finished(idx);

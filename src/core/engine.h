@@ -208,6 +208,9 @@ class Engine {
         storage::ReadResult read;      ///< Stashed by the disk job's on_start.
         storage::ReadRoute read_route;   ///< Where the primary read is served.
         storage::ReadRoute hedge_route;  ///< Where the hedge read is served.
+        /// The atom's data, pinned when the atom is known resident (cache
+        /// hit or read completion): another in-flight item's insert may
+        /// evict the atom before this item's evaluation starts.
         std::shared_ptr<const field::VoxelBlock> payload;
         std::size_t next_sub = 0;      ///< Next sub-query to evaluate.
         // Hedging state (all zero/idle unless HedgeSpec::enabled). The demand

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
-#include <unordered_set>
 
 #include "sched/alignment.h"
 #include "util/contracts.h"
@@ -13,7 +11,7 @@ namespace jaws::sched {
 namespace {
 
 /// Small disjoint-set over query ids, used to contract gating components for
-/// the deadlock (cycle) check.
+/// the global acyclicity check.
 class Dsu {
   public:
     workload::QueryId find(workload::QueryId x) {
@@ -77,6 +75,7 @@ void PrecedenceGraph::add_job(const workload::Job& job) {
         node.seq = q.seq_in_job;
         node.state = QueryState::kWait;
         node.query = &q;
+        node.owner = &job;
         nodes_.emplace(q.id, std::move(node));
     }
     if (!gating_enabled_ || job.type != workload::JobType::kOrdered ||
@@ -147,10 +146,64 @@ bool PrecedenceGraph::edge_allowed_between(const Node& a, const Node& b,
     return true;
 }
 
-bool PrecedenceGraph::would_deadlock(const Node& a, const Node& b,
-                                     const std::vector<workload::QueryId>& extra) const {
-    // Contract gating components (existing edges + the proposed ones) and
-    // look for a cycle in the condensed precedence graph.
+PrecedenceGraph::Node* PrecedenceGraph::chain_successor(const Node& node) {
+    const workload::Job& job = *node.owner;
+    if (job.type != workload::JobType::kOrdered) return nullptr;
+    // Completed queries are pruned; skip to the next live one.
+    const auto first = static_cast<std::size_t>(node.query - job.queries.data()) + 1;
+    for (std::size_t i = first; i < job.queries.size(); ++i)
+        if (Node* next = find(job.queries[i].id)) return next;
+    return nullptr;
+}
+
+bool PrecedenceGraph::would_deadlock(Node& a, Node& b,
+                                     const std::vector<workload::QueryId>& extra) {
+    // The graph is acyclic before the proposal (admission keeps it so, and
+    // check_invariants() verifies it), so a cycle after contracting the
+    // merged gating component S must pass through S: it exists exactly when
+    // a walk along precedence edges leaving S comes back into S. Edges from S
+    // straight back into S are self-loops of the contracted vertex, not
+    // cycles. A reached node's gating partners are reached too (its
+    // component is one contracted vertex).
+    const std::uint64_t in_s = ++epoch_;
+    const std::uint64_t seen = ++epoch_;
+    std::vector<Node*> search;  // S first, then every node the walk reaches
+    const auto join_s = [&](Node* n) {
+        if (n == nullptr || n->mark == in_s) return;
+        n->mark = in_s;
+        search.push_back(n);
+    };
+    join_s(&a);
+    join_s(&b);
+    for (const workload::QueryId pid : extra) join_s(find(pid));
+    for (std::size_t i = 0; i < search.size(); ++i)
+        for (const workload::QueryId pid : search[i]->partners) join_s(find(pid));
+
+    // Returns true when `n` closes a cycle (is in S).
+    const auto reach = [&](Node* n) {
+        if (n == nullptr || n->mark == seen) return false;
+        if (n->mark == in_s) return true;
+        n->mark = seen;
+        search.push_back(n);
+        return false;
+    };
+    const std::size_t s_size = search.size();
+    for (std::size_t i = 0; i < s_size; ++i) {
+        Node* next = chain_successor(*search[i]);
+        if (next != nullptr && next->mark != in_s) reach(next);  // S -> S: self-loop
+    }
+    for (std::size_t i = s_size; i < search.size(); ++i) {
+        const Node& n = *search[i];
+        for (const workload::QueryId pid : n.partners)
+            if (reach(find(pid))) return true;
+        if (reach(chain_successor(n))) return true;
+    }
+    return false;
+}
+
+bool PrecedenceGraph::acyclic() const {
+    // Contract gating components and look for a cycle in the condensed
+    // precedence graph.
     Dsu dsu;
     // jaws-lint: allow(unordered-iteration) -- union-find component
     // membership (and hence the cycle-existence answer below) is invariant
@@ -159,9 +212,6 @@ bool PrecedenceGraph::would_deadlock(const Node& a, const Node& b,
         for (const workload::QueryId pid : node.partners)
             if (nodes_.contains(pid)) dsu.unite(id, pid);
     }
-    dsu.unite(a.id, b.id);
-    for (const workload::QueryId pid : extra)
-        if (nodes_.contains(pid)) dsu.unite(a.id, pid);
 
     // Build condensed adjacency from per-job precedence chains.
     std::unordered_map<workload::QueryId, std::vector<workload::QueryId>> adjacency;
@@ -199,14 +249,14 @@ bool PrecedenceGraph::would_deadlock(const Node& a, const Node& b,
                 continue;
             }
             const workload::QueryId v = it->second[next++];
-            if (color[v] == 1) return true;  // back edge: cycle
+            if (color[v] == 1) return false;  // back edge: cycle
             if (color[v] == 0) {
                 color[v] = 1;
                 stack.emplace_back(v, 0);
             }
         }
     }
-    return false;
+    return true;
 }
 
 bool PrecedenceGraph::try_admit_edge(Node& nl, Node& nk) {
@@ -389,13 +439,8 @@ bool PrecedenceGraph::check_invariants() const {
     }
     if (ready != ready_count_) return false;
 
-    // Deadlock freedom of the current graph: reuse the checker with a
-    // degenerate proposal (an existing node united with itself).
-    if (!nodes_.empty()) {
-        const Node& any = nodes_.begin()->second;
-        if (would_deadlock(any, any, {})) return false;
-    }
-    return true;
+    // Deadlock freedom of the current graph (what would_deadlock() assumes).
+    return acyclic();
 }
 
 bool PrecedenceGraph::audit() const {

@@ -17,7 +17,10 @@
 // monotonicity check, at most one edge per query per job pair, no crossing
 // edges between a job pair — plus an exact deadlock check (cycle detection
 // over the constraint graph with gating components contracted), which makes
-// the "does not cause a deadlock in scheduling" condition precise.
+// the "does not cause a deadlock in scheduling" condition precise. The check
+// is a local search from the proposed merged component; it is exact because
+// the graph is acyclic before every proposal, which check_invariants()
+// verifies with a full rebuild.
 #pragma once
 
 #include <cstdint>
@@ -107,6 +110,9 @@ class PrecedenceGraph {
         std::vector<workload::QueryId> partners;
         int gating_number = 0;
         const workload::Query* query = nullptr;
+        const workload::Job* owner = nullptr;
+        /// Epoch stamp of the last deadlock search that reached this node.
+        std::uint64_t mark = 0;
     };
 
     struct JobEntry {
@@ -119,8 +125,15 @@ class PrecedenceGraph {
     bool gating_satisfied(const Node& node) const;
     std::vector<workload::QueryId> promote_from(const std::vector<workload::QueryId>& seeds);
     bool try_admit_edge(Node& nl, Node& nk);
-    bool would_deadlock(const Node& a, const Node& b,
-                        const std::vector<workload::QueryId>& extra) const;
+    /// Next live query of `node`'s ordered job (null for batched jobs and
+    /// chain tails): the node's one precedence successor.
+    Node* chain_successor(const Node& node);
+    /// Would gating `a`, `b` and the live `extra` ids together close a cycle?
+    /// Exact only on an acyclic graph (see acyclic()).
+    bool would_deadlock(Node& a, Node& b, const std::vector<workload::QueryId>& extra);
+    /// Full rebuild: no cycle in the precedence graph with every gating
+    /// component contracted. The invariant behind would_deadlock().
+    bool acyclic() const;
     void recompute_gating_numbers(workload::JobId job_id);
     bool edge_allowed_between(const Node& a, const Node& b, std::size_t* crossing,
                               std::size_t* duplicate) const;
@@ -131,6 +144,7 @@ class PrecedenceGraph {
     GatingStats stats_;
     std::size_t ready_count_ = 0;
     std::uint64_t tick_ = 0;
+    std::uint64_t epoch_ = 0;  ///< Last stamp handed to Node::mark.
 };
 
 }  // namespace jaws::sched

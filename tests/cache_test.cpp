@@ -1,13 +1,21 @@
 // Tests for the buffer cache and all replacement policies (cache/*).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "cache/buffer_cache.h"
 #include "cache/lru.h"
 #include "cache/lru_k.h"
 #include "cache/slru.h"
 #include "cache/urc.h"
+#include "proptest.h"
 
 namespace jaws::cache {
 namespace {
@@ -59,6 +67,25 @@ TEST(BufferCache, PayloadStoredAndRetrieved) {
     cache.insert(atom(0, 1), nullptr);
     EXPECT_EQ(cache.payload(atom(0, 1)), nullptr);
     EXPECT_EQ(cache.payload(atom(0, 9)), nullptr);
+}
+
+TEST(BufferCache, LookupHandsOutPayloadOnHits) {
+    field::GridSpec grid;
+    grid.voxels_per_side = 16;
+    grid.atom_side = 8;
+    grid.ghost = 1;
+    grid.timesteps = 1;
+    const field::SyntheticField field;
+    const auto block =
+        std::make_shared<const field::VoxelBlock>(grid, field, util::Coord3{0, 0, 0}, 0);
+    BufferCache cache(2, std::make_unique<LruPolicy>());
+    cache.insert(atom(0, 1), block);
+    std::shared_ptr<const field::VoxelBlock> got;
+    EXPECT_FALSE(cache.lookup(atom(0, 9), &got));
+    EXPECT_EQ(got, nullptr);
+    EXPECT_TRUE(cache.lookup(atom(0, 1), &got));
+    EXPECT_EQ(got, block);
+    EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 TEST(BufferCache, ClearEmptiesEverything) {
@@ -145,6 +172,116 @@ TEST(LruK, KEqualsOneBehavesLikeLru) {
     cache.lookup(atom(0, 1));
     const auto evicted = cache.insert(atom(0, 3));
     EXPECT_EQ(*evicted, atom(0, 2));
+}
+
+/// LRU-K choosing its victim by a full scan over the residents: the policy's
+/// original implementation, kept as the oracle for its ordered index.
+class ScanLruK {
+  public:
+    ScanLruK(unsigned k, std::size_t retained) : k_(k), retained_cap_(retained) {}
+
+    void insert(const storage::AtomId& a) {
+        resident_.insert(a);
+        touch(a);
+    }
+    void access(const storage::AtomId& a) { touch(a); }
+    void evict(const storage::AtomId& a) {
+        resident_.erase(a);
+        retained_fifo_.push_back(a);
+        while (retained_fifo_.size() > retained_cap_) {
+            const storage::AtomId old = retained_fifo_.front();
+            retained_fifo_.pop_front();
+            if (!resident_.contains(old)) history_.erase(old);
+        }
+    }
+    storage::AtomId victim() const {
+        const storage::AtomId* best = nullptr;
+        std::uint64_t best_k = 0, best_recent = 0;
+        for (const storage::AtomId& a : resident_) {
+            const std::deque<std::uint64_t>& refs = history_.at(a);
+            const std::uint64_t kd = refs.size() < k_ ? 0 : refs.back();
+            const std::uint64_t recent = refs.front();
+            if (best == nullptr || kd < best_k ||
+                (kd == best_k && (recent < best_recent || (recent == best_recent && a < *best)))) {
+                best = &a;
+                best_k = kd;
+                best_recent = recent;
+            }
+        }
+        return *best;
+    }
+    const std::set<storage::AtomId>& resident() const { return resident_; }
+
+  private:
+    void touch(const storage::AtomId& a) {
+        std::deque<std::uint64_t>& refs = history_[a];
+        refs.push_front(++tick_);
+        while (refs.size() > k_) refs.pop_back();
+    }
+
+    unsigned k_;
+    std::size_t retained_cap_;
+    std::uint64_t tick_ = 0;
+    std::map<storage::AtomId, std::deque<std::uint64_t>> history_;
+    std::set<storage::AtomId> resident_;
+    std::deque<storage::AtomId> retained_fifo_;
+};
+
+TEST(LruKIndex, VictimSequenceMatchesReferenceScan) {
+    // Random insert/access/evict programs over twelve atoms, so atoms are
+    // re-admitted both with retained history and after it was dropped.
+    const auto program = [](proptest::Gen& gen) -> std::string {
+        const auto k = static_cast<unsigned>(1 + gen.below(3));
+        const std::size_t retained = gen.below(4);
+        const std::size_t capacity = 1 + gen.below(6);
+        LruKPolicy policy(k, retained);
+        ScanLruK oracle(k, retained);
+        const auto pick = [&](std::uint64_t i) { return atom(static_cast<std::uint32_t>(i % 2), i / 2); };
+        const std::size_t steps = 20 + gen.below(180);
+        for (std::size_t step = 0; step < steps; ++step) {
+            const std::string at = "step " + std::to_string(step) + " (k=" +
+                                   std::to_string(k) + ", retained=" +
+                                   std::to_string(retained) + "): ";
+            const std::set<storage::AtomId>& res = oracle.resident();
+            const std::uint64_t op = gen.below(4);
+            if (op == 0 || res.empty()) {  // insert, evicting the victim when full
+                const storage::AtomId a = pick(gen.below(12));
+                if (res.contains(a)) continue;
+                if (res.size() == capacity) {
+                    const storage::AtomId v = policy.pick_victim();
+                    if (v != oracle.victim()) return at + "victims differ before insert";
+                    policy.on_evict(v);
+                    oracle.evict(v);
+                }
+                policy.on_insert(a);
+                oracle.insert(a);
+            } else {
+                auto it = res.begin();
+                std::advance(it, static_cast<std::ptrdiff_t>(gen.below(res.size())));
+                const storage::AtomId a = *it;
+                if (op == 1) {
+                    policy.on_access(a);
+                    oracle.access(a);
+                } else if (op == 2) {
+                    const storage::AtomId v = policy.pick_victim();
+                    if (v != oracle.victim()) return at + "victims differ";
+                    policy.on_evict(v);
+                    oracle.evict(v);
+                } else {  // invalidated externally, not the victim
+                    policy.on_evict(a);
+                    oracle.evict(a);
+                }
+            }
+            const std::vector<storage::AtomId> resident(oracle.resident().begin(),
+                                                        oracle.resident().end());
+            if (!policy.audit(resident)) return at + "audit failed";
+            if (!resident.empty() && policy.pick_victim() != oracle.victim())
+                return at + "victims differ";
+        }
+        return "";
+    };
+    const proptest::Outcome o = proptest::check(proptest::Config{}, program);
+    EXPECT_TRUE(o.ok) << o.message;
 }
 
 // ---------- SLRU ----------

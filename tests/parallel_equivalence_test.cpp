@@ -51,6 +51,13 @@ workload::Workload fixture_workload(const EngineConfig& c) {
     return w;
 }
 
+std::uint64_t materialized_positions(const workload::Workload& w) {
+    std::uint64_t n = 0;
+    for (const auto& job : w.jobs)
+        for (const auto& q : job.queries) n += q.positions.size();
+    return n;
+}
+
 void expect_reports_identical(const RunReport& pooled, const RunReport& inline_r) {
     EXPECT_EQ(pooled.makespan.micros, inline_r.makespan.micros);
     EXPECT_EQ(pooled.idle_time.micros, inline_r.idle_time.micros);
@@ -148,6 +155,9 @@ TEST(ParallelEquivalence, ExternalSharedPoolMatchesEngineOwnedPool) {
 // the parallel-evaluation path (pooled and inline agreed bit-for-bit at
 // capture time, and the suite above keeps proving they agree). If a row
 // breaks, the virtual schedule or the deterministic reduction order changed.
+// The sample and digest columns were re-pinned when items started pinning
+// their atom's payload (see PayloadPin below): makespans and retries did not
+// move, and every materialised position is now evaluated.
 // ---------------------------------------------------------------------------
 
 struct Golden {
@@ -158,10 +168,10 @@ struct Golden {
 };
 
 constexpr Golden kGoldens[] = {
-    {1, 447461354, 321333, 0x328d815406c1a72ull},
-    {2, 447194614, 321332, 0x75d8134506426ad0ull},
-    {4, 447194614, 321332, 0x75d8134506426ad0ull},
-    {8, 447194614, 321332, 0x75d8134506426ad0ull},
+    {1, 447461354, 321352, 0x1e6eb931c81c4efbull},
+    {2, 447194614, 321352, 0x8e2c76eecb68d6f3ull},
+    {4, 447194614, 321352, 0x8e2c76eecb68d6f3ull},
+    {8, 447194614, 321352, 0x8e2c76eecb68d6f3ull},
 };
 
 TEST(ParallelEquivalence, GoldenPinnedTracePerWorkerCount) {
@@ -169,10 +179,32 @@ TEST(ParallelEquivalence, GoldenPinnedTracePerWorkerCount) {
         SCOPED_TRACE("compute_workers=" + std::to_string(g.workers));
         const EngineConfig cfg = fixture_config(g.workers, /*parallel=*/true);
         Engine engine(cfg);
-        const RunReport r = engine.run(fixture_workload(cfg));
+        const workload::Workload work = fixture_workload(cfg);
+        const RunReport r = engine.run(work);
         EXPECT_EQ(r.makespan.micros, g.makespan_us);
         EXPECT_EQ(r.samples_evaluated, g.samples);
+        EXPECT_EQ(r.samples_evaluated, materialized_positions(work));
         EXPECT_EQ(r.sample_digest, g.digest);
+    }
+}
+
+// Regression: at io_depth 2 another in-flight item's insert can evict an
+// atom from the 16-atom cache between the item's read (or hit) and its
+// evaluation. A payload looked up in the cache at evaluation time is then
+// gone, the interpolation is skipped and samples go missing with no query
+// marked degraded; the item must hold the payload it read or hit.
+TEST(PayloadPin, IoDepthTwoEvictionsKeepEverySample) {
+    for (const std::size_t w : {1, 2}) {
+        SCOPED_TRACE("compute_workers=" + std::to_string(w));
+        const EngineConfig cfg = fixture_config(w, /*parallel=*/true);
+        ASSERT_EQ(cfg.io_depth, 2u);
+        ASSERT_EQ(cfg.cache.capacity_atoms, 16u);
+        const workload::Workload work = fixture_workload(cfg);
+        Engine engine(cfg);
+        const RunReport r = engine.run(work);
+        EXPECT_GT(r.cache.evictions, 0u);
+        EXPECT_EQ(r.degraded_queries, 0u);
+        EXPECT_EQ(r.samples_evaluated, materialized_positions(work));
     }
 }
 
@@ -211,10 +243,10 @@ struct FaultGolden {
 };
 
 constexpr FaultGolden kFaultGoldens[] = {
-    {1, 447533482, 26, 0xe8fbc78f3d3a1050ull},
-    {2, 447194614, 26, 0x415b0b2f5b5f07a8ull},
-    {4, 447194614, 26, 0x415b0b2f5b5f07a8ull},
-    {8, 447194614, 26, 0x415b0b2f5b5f07a8ull},
+    {1, 447533482, 26, 0xf76d04e51da1daa3ull},
+    {2, 447194614, 26, 0x8459d46fc6571747ull},
+    {4, 447194614, 26, 0x8459d46fc6571747ull},
+    {8, 447194614, 26, 0x8459d46fc6571747ull},
 };
 
 TEST(ParallelEquivalence, GoldenPinnedFaultedTracePerWorkerCount) {

@@ -2,9 +2,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
+#include "field/grid.h"
+#include "field/synthetic_field.h"
+#include "proptest.h"
 #include "sched/precedence_graph.h"
 #include "util/rng.h"
+#include "workload/generator.h"
 
 namespace jaws::sched {
 namespace {
@@ -305,6 +313,137 @@ TEST(PrecedenceGraph, RandomCampaignDrainsWithoutForcedPromotions) {
         ASSERT_EQ(executed, total);
         ASSERT_EQ(g.stats().forced_promotions, 0u);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Gating-decision goldens. The counters below were recorded with the
+// original full-rebuild deadlock check (union-find over every live query,
+// condensed adjacency, DFS); the local search must reproduce every admission
+// decision, so the counts may never move.
+// ---------------------------------------------------------------------------
+
+/// Drive `jobs` through `g` the way the engine exposes them: an ordered job
+/// shows its head at arrival and each successor when its predecessor is done;
+/// a batched job shows every query at arrival. `next(runnable, can_add)`
+/// returns runnable.size() to add the next job, or the index of the runnable
+/// query to complete. Invariants are checked after every add_job and
+/// on_query_done. Returns a failure description, or "" when everything
+/// drained with the invariants intact and no forced promotion.
+template <typename Next>
+std::string drive(PrecedenceGraph& g, const std::vector<workload::Job>& jobs, Next next) {
+    std::unordered_map<workload::QueryId, std::pair<const workload::Job*, std::size_t>> where;
+    std::size_t total = 0;
+    for (const auto& job : jobs) {
+        for (std::size_t i = 0; i < job.queries.size(); ++i)
+            where.emplace(job.queries[i].id, std::make_pair(&job, i));
+        total += job.queries.size();
+    }
+    std::vector<workload::QueryId> runnable;
+    const auto visible = [&](workload::QueryId id) {
+        for (const workload::QueryId q : g.on_query_visible(id)) runnable.push_back(q);
+    };
+    std::size_t added = 0, done = 0;
+    while (done < total) {
+        const bool can_add = added < jobs.size();
+        const std::size_t pick =
+            runnable.empty() ? runnable.size() : next(runnable, can_add);
+        if (pick >= runnable.size()) {
+            if (!can_add)
+                return "stalled with " + std::to_string(total - done) + " queries left";
+            const workload::Job& job = jobs[added++];
+            g.add_job(job);
+            if (!g.check_invariants())
+                return "invariants broken after add_job(" + std::to_string(job.id) + ")";
+            if (job.type == workload::JobType::kOrdered) {
+                visible(job.queries.front().id);
+            } else {
+                for (const auto& q : job.queries) visible(q.id);
+            }
+            continue;
+        }
+        const workload::QueryId id = runnable[pick];
+        runnable.erase(runnable.begin() + static_cast<std::ptrdiff_t>(pick));
+        g.on_query_done(id);
+        ++done;
+        if (!g.check_invariants())
+            return "invariants broken after on_query_done(" + std::to_string(id) + ")";
+        const auto& [job, index] = where.at(id);
+        if (job->type == workload::JobType::kOrdered && index + 1 < job->queries.size())
+            visible(job->queries[index + 1].id);
+    }
+    if (g.stats().forced_promotions != 0) return "forced promotions";
+    return "";
+}
+
+TEST(GatingGolden, ReferenceTraceCampaign) {
+    // The ordered jobs of the generator's reference trace (seed 7, every
+    // bench's seed) at 200 jobs: 99 jobs, 2,157 queries. Batched jobs are
+    // never aligned or gated, so they are left out. Each arrival follows 12
+    // FIFO completions, so dozens of chains are live at once and the
+    // deadlock check both admits and rejects.
+    workload::WorkloadSpec spec;
+    spec.jobs = 200;
+    const field::GridSpec grid;
+    const field::SyntheticField field;
+    std::vector<workload::Job> jobs;
+    for (workload::Job& job : workload::generate_workload(spec, grid, field).jobs)
+        if (job.type == workload::JobType::kOrdered) jobs.push_back(std::move(job));
+    ASSERT_EQ(jobs.size(), 99u);
+    PrecedenceGraph g(true);
+    std::size_t since_arrival = 0;
+    const std::string failure =
+        drive(g, jobs, [&](const std::vector<workload::QueryId>& runnable, bool can_add) {
+            if (can_add && since_arrival >= 12) {
+                since_arrival = 0;
+                return runnable.size();
+            }
+            ++since_arrival;
+            return std::size_t{0};
+        });
+    ASSERT_EQ(failure, "");
+    const GatingStats& s = g.stats();
+    EXPECT_EQ(s.alignments_run, 2672u);
+    EXPECT_EQ(s.edges_admitted, 1469u);
+    EXPECT_EQ(s.edges_rejected_deadlock, 87u);
+    EXPECT_EQ(s.edges_rejected_crossing, 738u);
+}
+
+TEST(GatingGolden, RandomCampaigns) {
+    // proptest campaigns: 4-12 jobs of 2-8 queries over four shared regions
+    // and two steps, arrivals and completions interleaved at random. The
+    // counters are summed over every case.
+    GatingStats sum;
+    const auto campaign = [&](proptest::Gen& gen) -> std::string {
+        std::vector<workload::Job> jobs(4 + gen.below(9));
+        for (std::size_t j = 0; j < jobs.size(); ++j) {
+            workload::Job& job = jobs[j];
+            job.id = j + 1;
+            job.type = gen.below(4) == 0 ? workload::JobType::kBatched
+                                         : workload::JobType::kOrdered;
+            const std::uint32_t step = static_cast<std::uint32_t>(gen.below(2));
+            const std::size_t m = 2 + gen.below(7);
+            for (std::size_t i = 0; i < m; ++i)
+                job.queries.push_back(query_on(job.id, static_cast<std::uint32_t>(i), step,
+                                               {gen.below(4)}));
+        }
+        PrecedenceGraph g(true);
+        const std::string failure =
+            drive(g, jobs, [&](const std::vector<workload::QueryId>& runnable, bool can_add) {
+                return static_cast<std::size_t>(gen.below(runnable.size() + (can_add ? 1 : 0)));
+            });
+        const GatingStats& s = g.stats();
+        sum.alignments_run += s.alignments_run;
+        sum.edges_admitted += s.edges_admitted;
+        sum.edges_rejected_deadlock += s.edges_rejected_deadlock;
+        sum.edges_rejected_crossing += s.edges_rejected_crossing;
+        return failure;
+    };
+    const proptest::Outcome o = proptest::check(proptest::Config{}, campaign);
+    ASSERT_TRUE(o.ok) << o.message;
+    EXPECT_EQ(sum.alignments_run, 3118u);
+    EXPECT_EQ(sum.edges_admitted, 2098u);
+    EXPECT_EQ(sum.edges_rejected_deadlock, 48u);
+    EXPECT_EQ(sum.edges_rejected_crossing, 344u);
 }
 
 }  // namespace
