@@ -13,7 +13,9 @@
 // The second section measures the *real* parallel-evaluation path: a
 // compute-bound materialized fixture where sub-query interpolation runs on
 // util::ThreadPool, timed with util::wall_clock_ns (bench-only; tests stay on
-// virtual time). Results land in BENCH_parallel_eval.json next to stdout.
+// virtual time). Results land in BENCH_parallel_eval.json next to stdout;
+// the binary exits non-zero when a pooled digest diverges from its inline
+// twin or a row's sample count differs from the workload's positions.
 //
 // Also emits a machine-readable CSV block (prefixed `csv,`) for plotting.
 #include <fstream>
@@ -136,6 +138,8 @@ int main(int argc, char** argv) {
     const field::SyntheticField efield(eval_base.field);
     workload::Workload ework = workload::generate_workload(espec, eval_base.grid, efield);
     workload::materialize_positions(ework, eval_base.grid, /*seed=*/17);
+    std::uint64_t eval_positions = 0;
+    for (const workload::Job& job : ework.jobs) eval_positions += job.total_positions();
 
     std::printf("\n# Parallel evaluation: %zu jobs, materialized positions, "
                 "%u hardware threads\n\n",
@@ -164,10 +168,12 @@ int main(int argc, char** argv) {
     };
 
     // The trace legitimately differs across worker counts (more modeled CPU
-    // channels change the schedule); the invariant is pooled == inline at
-    // the SAME count, so the sweep runs both at every count.
+    // channels change the schedule), so digests are compared pooled vs
+    // inline at the SAME count; the sample count is schedule-independent and
+    // must equal the workload's positions in every row.
     double base_wall = 0.0, base_modeled = 0.0;
     bool digests_agree = true;
+    bool samples_agree = true;
     for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
                                       std::size_t{4}, std::size_t{8}}) {
         EvalRow inline_row = timed_run(workers, /*pooled=*/false);
@@ -176,9 +182,9 @@ int main(int argc, char** argv) {
             base_wall = inline_row.wall_ms;
             base_modeled = inline_row.modeled_s;
         }
-        if (pooled_row.digest != inline_row.digest ||
-            pooled_row.samples != inline_row.samples)
-            digests_agree = false;
+        if (pooled_row.digest != inline_row.digest) digests_agree = false;
+        if (inline_row.samples != eval_positions || pooled_row.samples != eval_positions)
+            samples_agree = false;
         rows.push_back(inline_row);
         rows.push_back(pooled_row);
     }
@@ -190,19 +196,26 @@ int main(int argc, char** argv) {
                     row.wall_speedup, row.eval_ms, row.modeled_s,
                     row.modeled_speedup, static_cast<unsigned long long>(row.samples));
     }
-    std::printf("\n(each pooled row must reproduce its inline twin's samples and digest;\n"
-                " wall speedup is bounded by the machine's hardware threads)\n");
-    if (!digests_agree)
-        std::printf("WARNING: a pooled digest diverged from its inline twin!\n");
+    std::printf("\n(each pooled row must reproduce its inline twin's digest and every row\n"
+                " must evaluate all %llu positions; wall speedup is bounded by the\n"
+                " machine's hardware threads)\n",
+                static_cast<unsigned long long>(eval_positions));
+    if (!digests_agree) std::printf("FAIL: a pooled digest diverged from its inline twin\n");
+    if (!samples_agree)
+        std::printf("FAIL: a row evaluated a sample count other than the workload's "
+                    "positions\n");
 
     std::ofstream json("BENCH_parallel_eval.json");
     json << "{\n"
          << "  \"bench\": \"parallel_eval\",\n"
          << "  \"jobs\": " << eval_jobs << ",\n"
          << "  \"hardware_threads\": " << std::thread::hardware_concurrency() << ",\n"
+         << "  \"positions\": " << eval_positions << ",\n"
          << "  \"digests_agree\": " << (digests_agree ? "true" : "false") << ",\n"
+         << "  \"samples_agree\": " << (samples_agree ? "true" : "false") << ",\n"
          << "  \"note\": \"digests_agree compares each pooled run to the inline run "
-            "at the same worker count; wall speedup is capped by hardware_threads — "
+            "at the same worker count; samples_agree requires every row to evaluate "
+            "all of the workload's positions; wall speedup is capped by hardware_threads — "
             "on machines with fewer cores than workers the modeled speedup shows "
             "the schedule-level scaling\",\n"
          << "  \"rows\": [\n";
@@ -226,5 +239,5 @@ int main(int argc, char** argv) {
     }
     json << "  ]\n}\n";
     std::printf("\nwrote BENCH_parallel_eval.json\n");
-    return 0;
+    return digests_agree && samples_agree ? 0 : 1;
 }

@@ -12,7 +12,6 @@
 #include "cache/two_q.h"
 #include "cache/urc.h"
 #include "sched/jaws.h"
-#include "sched/liferaft.h"
 #include "sched/noshare.h"
 #include "util/logging.h"
 #include "util/wallclock.h"
@@ -116,14 +115,11 @@ std::unique_ptr<sched::Scheduler> Engine::make_scheduler() {
     switch (config_.scheduler.kind) {
         case SchedulerKind::kNoShare:
             return std::make_unique<sched::NoShareScheduler>();
-        case SchedulerKind::kLifeRaft: {
-            auto s = std::make_unique<sched::LifeRaftScheduler>(
-                config_.estimates, cache_.get(), config_.scheduler.liferaft_alpha);
-            oracle_.set(&s->manager());
-            return s;
-        }
+        case SchedulerKind::kLifeRaft:
         case SchedulerKind::kJaws: {
             sched::JawsConfig jc = config_.scheduler.jaws;
+            if (config_.scheduler.kind == SchedulerKind::kLifeRaft)
+                jc = sched::liferaft_config(config_.scheduler.liferaft_alpha);
             jc.alpha.run_length = config_.run_length;
             auto s = std::make_unique<sched::JawsScheduler>(config_.estimates, cache_.get(),
                                                             jc);

@@ -15,8 +15,12 @@ JawsScheduler::JawsScheduler(const CostConstants& cost, const cache::BufferCache
 
 std::string JawsScheduler::name() const {
     char buf[64];
-    std::snprintf(buf, sizeof buf, "JAWS(%s k=%zu)", config_.job_aware ? "job-aware" : "base",
-                  config_.batch_size_k);
+    if (!config_.two_level && !config_.job_aware && !config_.adaptive_alpha &&
+        !config_.qos.enabled)
+        std::snprintf(buf, sizeof buf, "LifeRaft(a=%.2f)", manager_.alpha());
+    else
+        std::snprintf(buf, sizeof buf, "JAWS(%s k=%zu)",
+                      config_.job_aware ? "job-aware" : "base", config_.batch_size_k);
     return buf;
 }
 

@@ -10,6 +10,9 @@
 //     that cross-job queries touching the same atoms enter the workload
 //     queues together (Sec. IV).
 // The paper's JAWS_1 is {two-level, adaptive} and JAWS_2 adds job-awareness.
+// With every switch off (and QoS off) it is LifeRaft (paper Sec. III): one
+// atom per dispatch, greedily in decreasing aged workload throughput U_e
+// (Eq. 2) under a fixed alpha — see liferaft_config().
 #pragma once
 
 #include <unordered_map>
@@ -31,7 +34,20 @@ struct JawsConfig {
     QosConfig qos;                    ///< Optional completion-time guarantees.
 };
 
-/// Full job-aware scheduler.
+/// LifeRaft as a JAWS configuration: single-atom contention ordering with a
+/// fixed age bias. alpha = 0 is the paper's contention-maximising LifeRaft_2;
+/// alpha = 1 is the arrival-order LifeRaft_1 (which still co-schedules
+/// queries that reference the same data as the oldest request).
+inline JawsConfig liferaft_config(double alpha) {
+    JawsConfig c;
+    c.two_level = false;
+    c.job_aware = false;
+    c.adaptive_alpha = false;
+    c.alpha.initial_alpha = alpha;
+    return c;
+}
+
+/// LifeRaft, JAWS_1 and JAWS_2, selected by JawsConfig.
 class JawsScheduler final : public Scheduler {
   public:
     JawsScheduler(const CostConstants& cost, const cache::BufferCache* cache,

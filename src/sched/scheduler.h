@@ -4,8 +4,10 @@
 // submitted, query visible (its inputs exist), query completed — and asks it
 // for the next batch of atoms to process. Each returned batch item is one
 // atom together with the *entire* workload queue drained from it, which the
-// engine evaluates in a single pass over the atom's data. The four paper
-// systems (NoShare, LifeRaft, JAWS_1, JAWS_2) implement this interface.
+// engine evaluates in a single pass over the atom's data. Two classes
+// implement it: NoShareScheduler, and JawsScheduler, whose JawsConfig
+// switches select the other three paper systems — LifeRaft (all off, see
+// liferaft_config()), JAWS_1 and JAWS_2.
 #pragma once
 
 #include <string>
@@ -31,7 +33,7 @@ class Scheduler {
   public:
     virtual ~Scheduler() = default;
 
-    /// Policy name for reports ("NoShare", "LifeRaft", "JAWS", ...).
+    /// Policy name for reports ("NoShare", "LifeRaft(a=0.00)", "JAWS(...)").
     virtual std::string name() const = 0;
 
     /// A job's declared workflow was submitted (called before any of its

@@ -117,6 +117,38 @@ INSTANTIATE_TEST_SUITE_P(Schedulers, EngineAllSchedulers,
                                            SchedulerKind::kLifeRaft,
                                            SchedulerKind::kJaws));
 
+TEST(Engine, LifeRaftIgnoresJawsSwitches) {
+    // kLifeRaft runs the all-off JawsConfig preset at liferaft_alpha, so
+    // nothing in scheduler.jaws may reach it.
+    const EngineConfig plain = small_config(SchedulerKind::kLifeRaft);
+    EngineConfig switched = plain;
+    switched.scheduler.jaws.two_level = true;
+    switched.scheduler.jaws.job_aware = true;
+    switched.scheduler.jaws.adaptive_alpha = true;
+    switched.scheduler.jaws.qos.enabled = true;
+    switched.scheduler.jaws.alpha.initial_alpha = 0.75;
+    const workload::Workload w = small_workload(plain);
+    Engine a(plain), b(switched);
+    const RunReport ra = a.run(w);
+    const RunReport rb = b.run(w);
+    EXPECT_EQ(ra.scheduler_name, "LifeRaft(a=0.00)");
+    EXPECT_EQ(rb.scheduler_name, ra.scheduler_name);
+    EXPECT_EQ(rb.summary(), ra.summary());
+    EXPECT_EQ(rb.makespan, ra.makespan);
+    EXPECT_EQ(rb.idle_time, ra.idle_time);
+    EXPECT_EQ(rb.response_ms, ra.response_ms);  // exact, in completion order
+    EXPECT_EQ(rb.job_span_ms, ra.job_span_ms);
+    EXPECT_EQ(rb.cache.hits, ra.cache.hits);
+    EXPECT_EQ(rb.cache.misses, ra.cache.misses);
+    EXPECT_EQ(rb.cache.evictions, ra.cache.evictions);
+    EXPECT_EQ(rb.atom_reads, ra.atom_reads);
+    EXPECT_EQ(rb.support_reads, ra.support_reads);
+    EXPECT_EQ(rb.final_alpha, ra.final_alpha);
+    EXPECT_EQ(rb.gating.alignments_run, 0u);
+    EXPECT_EQ(rb.gating.edges_admitted, 0u);
+    EXPECT_EQ(rb.qos.guaranteed, 0u);
+}
+
 TEST(Engine, SingleShot) {
     const EngineConfig config = small_config(SchedulerKind::kNoShare);
     const workload::Workload w = small_workload(config, 5);

@@ -1,8 +1,8 @@
-// Tests for the three scheduler policies in isolation (sched/*.h).
+// Tests for the scheduler policies in isolation (sched/*.h): NoShare, and
+// JawsScheduler at its LifeRaft, JAWS_1 and JAWS_2 configurations.
 #include <gtest/gtest.h>
 
 #include "sched/jaws.h"
-#include "sched/liferaft.h"
 #include "sched/noshare.h"
 #include "util/morton.h"
 
@@ -54,11 +54,26 @@ TEST(NoShare, NeverMergesQueries) {
     EXPECT_EQ(b1[0].subqueries.size(), 1u);  // only query 1's sub-query
 }
 
+/// One batched job over `queries`, numbered in the given order. JawsScheduler
+/// keeps pointers into the job, so it must outlive the scheduler's use.
+workload::Job batched_job(workload::JobId id, std::vector<workload::Query> queries) {
+    workload::Job j;
+    j.id = id;
+    j.type = workload::JobType::kBatched;
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+        queries[i].job = id;
+        queries[i].seq_in_job = static_cast<std::uint32_t>(i);
+    }
+    j.queries = std::move(queries);
+    return j;
+}
+
 TEST(LifeRaft, DrainsMostContendedAtom) {
-    LifeRaftScheduler s(CostConstants{}, nullptr, 0.0);
-    s.on_query_visible(query_on(1, 0, {5}, 100), util::SimTime::zero());
-    s.on_query_visible(query_on(2, 0, {9}, 5000), util::SimTime::zero());
-    s.on_query_visible(query_on(3, 0, {9}, 5000), util::SimTime::zero());
+    JawsScheduler s(CostConstants{}, nullptr, liferaft_config(0.0));
+    const auto j = batched_job(1, {query_on(1, 0, {5}, 100), query_on(2, 0, {9}, 5000),
+                                   query_on(3, 0, {9}, 5000)});
+    s.on_job_submitted(j);
+    for (const auto& q : j.queries) s.on_query_visible(q, util::SimTime::zero());
     const auto batch = s.next_batch(util::SimTime::zero());
     ASSERT_EQ(batch.size(), 1u);  // single-atom scheduling
     EXPECT_EQ(batch[0].atom.morton, 9u);
@@ -67,9 +82,11 @@ TEST(LifeRaft, DrainsMostContendedAtom) {
 }
 
 TEST(LifeRaft, AlphaOneFollowsArrivalOrder) {
-    LifeRaftScheduler s(CostConstants{}, nullptr, 1.0);
-    s.on_query_visible(query_on(1, 0, {5}, 10), util::SimTime::from_millis(1));
-    s.on_query_visible(query_on(2, 0, {9}, 9000), util::SimTime::from_millis(2));
+    JawsScheduler s(CostConstants{}, nullptr, liferaft_config(1.0));
+    const auto j = batched_job(1, {query_on(1, 0, {5}, 10), query_on(2, 0, {9}, 9000)});
+    s.on_job_submitted(j);
+    s.on_query_visible(j.queries[0], util::SimTime::from_millis(1));
+    s.on_query_visible(j.queries[1], util::SimTime::from_millis(2));
     const auto batch = s.next_batch(util::SimTime::from_millis(3));
     ASSERT_EQ(batch.size(), 1u);
     EXPECT_EQ(batch[0].atom.morton, 5u);
@@ -77,8 +94,8 @@ TEST(LifeRaft, AlphaOneFollowsArrivalOrder) {
 }
 
 TEST(LifeRaft, NamesIncludeAlpha) {
-    LifeRaftScheduler s(CostConstants{}, nullptr, 0.25);
-    EXPECT_NE(s.name().find("0.25"), std::string::npos);
+    JawsScheduler s(CostConstants{}, nullptr, liferaft_config(0.25));
+    EXPECT_EQ(s.name(), "LifeRaft(a=0.25)");
 }
 
 JawsConfig jaws_config(bool job_aware, std::size_t k = 4) {
@@ -106,15 +123,9 @@ workload::Job two_query_job(workload::JobId id, std::uint64_t region) {
 
 TEST(Jaws, TwoLevelBatchesUpToK) {
     JawsScheduler s(CostConstants{}, nullptr, jaws_config(false, 2));
-    workload::Job j;
-    j.id = 1;
-    j.type = workload::JobType::kBatched;
-    for (workload::QueryId i = 0; i < 5; ++i) {
-        auto q = query_on(i + 1, 0, {i * 7});
-        q.job = 1;
-        q.seq_in_job = static_cast<std::uint32_t>(i);
-        j.queries.push_back(q);
-    }
+    std::vector<workload::Query> queries;
+    for (workload::QueryId i = 0; i < 5; ++i) queries.push_back(query_on(i + 1, 0, {i * 7}));
+    const auto j = batched_job(1, std::move(queries));
     s.on_job_submitted(j);
     for (const auto& q : j.queries) s.on_query_visible(q, util::SimTime::zero());
     const auto batch = s.next_batch(util::SimTime::zero());
@@ -175,15 +186,7 @@ TEST(Jaws, SingleLevelModeUsesBestAtom) {
     JawsConfig c = jaws_config(false);
     c.two_level = false;
     JawsScheduler s(CostConstants{}, nullptr, c);
-    workload::Job j;
-    j.id = 1;
-    j.type = workload::JobType::kBatched;
-    auto q1 = query_on(1, 0, {5}, 100);
-    auto q2 = query_on(2, 1, {9}, 9000);
-    q1.job = q2.job = 1;
-    q1.seq_in_job = 0;
-    q2.seq_in_job = 1;
-    j.queries = {q1, q2};
+    const auto j = batched_job(1, {query_on(1, 0, {5}, 100), query_on(2, 1, {9}, 9000)});
     s.on_job_submitted(j);
     s.on_query_visible(j.queries[0], util::SimTime::zero());
     s.on_query_visible(j.queries[1], util::SimTime::zero());
