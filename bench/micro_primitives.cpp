@@ -155,7 +155,7 @@ BENCHMARK(BM_CachePolicyChurn)->Arg(0)->Arg(1);
 
 void BM_WorkloadManagerEnqueueDrain(benchmark::State& state) {
     sched::CostConstants cost;
-    sched::WorkloadManager manager(cost, nullptr, 0.5);
+    sched::WorkloadManager manager(cost, nullptr, 0.5, /*two_level=*/true);
     util::Rng rng(6);
     std::uint64_t tick = 0;
     for (auto _ : state) {
@@ -167,7 +167,7 @@ void BM_WorkloadManagerEnqueueDrain(benchmark::State& state) {
         sub.enqueue_time = util::SimTime::from_micros(static_cast<std::int64_t>(tick));
         manager.enqueue(sub);
         if (tick % 8 == 0) {
-            const auto batch = manager.pick_two_level_batch(15, sub.enqueue_time);
+            const auto batch = manager.pick(15, sub.enqueue_time);
             for (const auto& atom : batch) benchmark::DoNotOptimize(manager.drain_atom(atom));
         }
     }

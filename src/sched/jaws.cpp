@@ -9,7 +9,7 @@ JawsScheduler::JawsScheduler(const CostConstants& cost, const cache::BufferCache
                              const JawsConfig& config)
     : config_(config),
       probe_(cache != nullptr ? std::make_unique<CacheResidencyProbe>(*cache) : nullptr),
-      manager_(cost, probe_.get(), config.alpha.initial_alpha),
+      manager_(cost, probe_.get(), config.alpha.initial_alpha, config.two_level),
       graph_(config.job_aware),
       controller_(config.alpha) {}
 
@@ -99,14 +99,8 @@ std::vector<BatchItem> JawsScheduler::next_batch(util::SimTime now) {
             return batch;
         }
     }
-    if (config_.two_level) {
-        for (const storage::AtomId& atom :
-             manager_.pick_two_level_batch(config_.batch_size_k, now)) {
-            batch.push_back(BatchItem{atom, manager_.drain_atom(atom)});
-        }
-    } else if (const auto best = manager_.pick_best_atom()) {
-        batch.push_back(BatchItem{*best, manager_.drain_atom(*best)});
-    }
+    for (const storage::AtomId& atom : manager_.pick(config_.batch_size_k, now))
+        batch.push_back(BatchItem{atom, manager_.drain_atom(atom)});
     return batch;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <unordered_set>
 
 #include "sched/alignment.h"
 #include "util/contracts.h"
@@ -110,7 +111,7 @@ void PrecedenceGraph::add_job(const workload::Job& job) {
             Node* nk = find(other.job->queries[pair.b_seq].id);
             if (nl == nullptr || nk == nullptr) continue;
             // Too late to gate a query that is already runnable or running.
-            if (nk->state == QueryState::kQueue || nk->state == QueryState::kDone) continue;
+            if (nk->state == QueryState::kQueue) continue;
             if (try_admit_edge(*nl, *nk)) admitted_any = true;
         }
         if (admitted_any) recompute_gating_numbers(c.other);
@@ -128,9 +129,8 @@ bool PrecedenceGraph::edge_allowed_between(const Node& a, const Node& b,
     for (const auto& q : ja.job->queries) {
         const Node* n = find(q.id);
         if (n == nullptr) continue;
-        for (const workload::QueryId pid : n->partners) {
-            const Node* p = find(pid);
-            if (p == nullptr || p->job != b.job) continue;
+        for (const Node* p : n->partners) {
+            if (p->job != b.job) continue;
             if (n->seq == a.seq || p->seq == b.seq) {
                 ++*duplicate;  // one gating edge per query per job pair
                 return false;
@@ -156,8 +156,7 @@ PrecedenceGraph::Node* PrecedenceGraph::chain_successor(const Node& node) {
     return nullptr;
 }
 
-bool PrecedenceGraph::would_deadlock(Node& a, Node& b,
-                                     const std::vector<workload::QueryId>& extra) {
+bool PrecedenceGraph::would_deadlock(Node& a, Node& b, const std::vector<Node*>& extra) {
     // The graph is acyclic before the proposal (admission keeps it so, and
     // check_invariants() verifies it), so a cycle after contracting the
     // merged gating component S must pass through S: it exists exactly when
@@ -169,15 +168,15 @@ bool PrecedenceGraph::would_deadlock(Node& a, Node& b,
     const std::uint64_t seen = ++epoch_;
     std::vector<Node*> search;  // S first, then every node the walk reaches
     const auto join_s = [&](Node* n) {
-        if (n == nullptr || n->mark == in_s) return;
+        if (n->mark == in_s) return;
         n->mark = in_s;
         search.push_back(n);
     };
     join_s(&a);
     join_s(&b);
-    for (const workload::QueryId pid : extra) join_s(find(pid));
+    for (Node* n : extra) join_s(n);
     for (std::size_t i = 0; i < search.size(); ++i)
-        for (const workload::QueryId pid : search[i]->partners) join_s(find(pid));
+        for (Node* p : search[i]->partners) join_s(p);
 
     // Returns true when `n` closes a cycle (is in S).
     const auto reach = [&](Node* n) {
@@ -194,8 +193,8 @@ bool PrecedenceGraph::would_deadlock(Node& a, Node& b,
     }
     for (std::size_t i = s_size; i < search.size(); ++i) {
         const Node& n = *search[i];
-        for (const workload::QueryId pid : n.partners)
-            if (reach(find(pid))) return true;
+        for (Node* p : n.partners)
+            if (reach(p)) return true;
         if (reach(chain_successor(n))) return true;
     }
     return false;
@@ -208,10 +207,8 @@ bool PrecedenceGraph::acyclic() const {
     // jaws-lint: allow(unordered-iteration) -- union-find component
     // membership (and hence the cycle-existence answer below) is invariant
     // to the order edges are united in; only representative *naming* varies.
-    for (const auto& [id, node] : nodes_) {
-        for (const workload::QueryId pid : node.partners)
-            if (nodes_.contains(pid)) dsu.unite(id, pid);
-    }
+    for (const auto& [id, node] : nodes_)
+        for (const Node* p : node.partners) dsu.unite(id, p->id);
 
     // Build condensed adjacency from per-job precedence chains.
     std::unordered_map<workload::QueryId, std::vector<workload::QueryId>> adjacency;
@@ -261,18 +258,14 @@ bool PrecedenceGraph::acyclic() const {
 
 bool PrecedenceGraph::try_admit_edge(Node& nl, Node& nk) {
     if (nl.job == nk.job) return false;
-    if (std::find(nl.partners.begin(), nl.partners.end(), nk.id) != nl.partners.end())
+    if (std::find(nl.partners.begin(), nl.partners.end(), &nk) != nl.partners.end())
         return false;  // already gated together
 
     // Transitive inheritance (Fig. 4 line 2): the new query inherits all
     // gating edges incident to its partner.
-    std::vector<workload::QueryId> admit{nk.id};
-    for (const workload::QueryId pid : nk.partners) {
-        const Node* p = find(pid);
-        if (p == nullptr || p->job == nl.job) continue;
-        if (p->state == QueryState::kQueue || p->state == QueryState::kDone) continue;
-        admit.push_back(pid);
-    }
+    std::vector<Node*> admit{&nk};
+    for (Node* p : nk.partners)
+        if (p->job != nl.job && p->state != QueryState::kQueue) admit.push_back(p);
 
     // Fig. 4 lines 3-7: the gating number nl would carry — edged queries in
     // its own prefix plus one past the deepest gated partner of the prefix.
@@ -285,11 +278,8 @@ bool PrecedenceGraph::try_admit_edge(Node& nl, Node& nk) {
             const Node* n = find(q.id);
             if (n == nullptr || n->partners.empty()) continue;
             ++prefix_edges;
-            for (const workload::QueryId pid : n->partners) {
-                const Node* p = find(pid);
-                if (p != nullptr)
-                    max_gat_num = std::max(max_gat_num, p->gating_number + 1);
-            }
+            for (const Node* p : n->partners)
+                max_gat_num = std::max(max_gat_num, p->gating_number + 1);
         }
         max_gat_num = std::max(max_gat_num, prefix_edges);
     }
@@ -298,9 +288,7 @@ bool PrecedenceGraph::try_admit_edge(Node& nl, Node& nk) {
     // gating-number comparison as a cheap deadlock proxy; we track it as a
     // statistic but rely on the exact cycle check below, which admits every
     // feasible edge the proxy would conservatively reject.
-    for (const workload::QueryId cid : admit) {
-        const Node* c = find(cid);
-        assert(c != nullptr);
+    for (const Node* c : admit) {
         if (c->gating_number < max_gat_num) ++stats_.edges_rejected_gating_number;
         std::size_t crossing = 0, duplicate = 0;
         if (!edge_allowed_between(nl, *c, &crossing, &duplicate)) {
@@ -315,10 +303,9 @@ bool PrecedenceGraph::try_admit_edge(Node& nl, Node& nk) {
         return false;
     }
 
-    for (const workload::QueryId cid : admit) {
-        Node* c = find(cid);
-        nl.partners.push_back(cid);
-        c->partners.push_back(nl.id);
+    for (Node* c : admit) {
+        nl.partners.push_back(c);
+        c->partners.push_back(&nl);
         ++stats_.edges_admitted;
     }
     return true;
@@ -337,24 +324,18 @@ void PrecedenceGraph::recompute_gating_numbers(workload::JobId job_id) {
 }
 
 bool PrecedenceGraph::gating_satisfied(const Node& node) const {
-    for (const workload::QueryId pid : node.partners) {
-        const Node* p = find(pid);
-        if (p == nullptr) continue;  // DONE partners satisfy the gate
-        if (p->state == QueryState::kWait) return false;
-    }
-    return true;
+    // DONE partners are detached, and satisfy the gate anyway.
+    return std::none_of(node.partners.begin(), node.partners.end(),
+                        [](const Node* p) { return p->state == QueryState::kWait; });
 }
 
-std::vector<workload::QueryId> PrecedenceGraph::promote_from(
-    const std::vector<workload::QueryId>& seeds) {
+std::vector<workload::QueryId> PrecedenceGraph::promote_from(const std::vector<Node*>& seeds) {
     std::vector<workload::QueryId> promoted;
-    for (const workload::QueryId id : seeds) {
-        Node* node = find(id);
-        if (node == nullptr || node->state != QueryState::kReady) continue;
-        if (!gating_satisfied(*node)) continue;
+    for (Node* node : seeds) {
+        if (node->state != QueryState::kReady || !gating_satisfied(*node)) continue;
         node->state = QueryState::kQueue;
         --ready_count_;
-        promoted.push_back(id);
+        promoted.push_back(node->id);
     }
     return promoted;
 }
@@ -369,7 +350,7 @@ std::vector<workload::QueryId> PrecedenceGraph::on_query_visible(workload::Query
     // This transition can complete the gate of the node itself and of each of
     // its partners (promoting one node cannot un-block a third, so one pass
     // over this neighbourhood reaches the fixpoint).
-    std::vector<workload::QueryId> seeds{id};
+    std::vector<Node*> seeds{node};
     seeds.insert(seeds.end(), node->partners.begin(), node->partners.end());
     return promote_from(seeds);
 }
@@ -380,12 +361,7 @@ std::vector<workload::QueryId> PrecedenceGraph::on_query_done(workload::QueryId 
     assert(node->state == QueryState::kQueue);
     // Detach from partners (a DONE partner satisfies their gates anyway) and
     // prune the vertex, as the paper prunes completed queries.
-    std::vector<workload::QueryId> partners = std::move(node->partners);
-    for (const workload::QueryId pid : partners) {
-        Node* p = find(pid);
-        if (p == nullptr) continue;
-        std::erase(p->partners, id);
-    }
+    for (Node* p : node->partners) std::erase(p->partners, node);
     const workload::JobId job_id = node->job;
     nodes_.erase(id);
     auto it = jobs_.find(job_id);
@@ -416,24 +392,30 @@ std::vector<workload::QueryId> PrecedenceGraph::force_promote_oldest_ready() {
 }
 
 bool PrecedenceGraph::check_invariants() const {
-    std::size_t ready = 0;
+    // Every partner pointer must name a live node before anything reads
+    // through it.
+    std::unordered_set<const Node*> live;
+    // jaws-lint: allow(unordered-iteration) -- builds a membership set.
+    for (const auto& [id, node] : nodes_) live.insert(&node);
     // jaws-lint: allow(unordered-iteration) -- read-only validation; the
     // conjunction of per-node checks is order-independent.
+    for (const auto& [id, node] : nodes_)
+        for (const Node* p : node.partners)
+            if (!live.contains(p)) return false;  // dangling edge
+
+    std::size_t ready = 0;
+    // jaws-lint: allow(unordered-iteration) -- as above.
     for (const auto& [id, node] : nodes_) {
         if (node.state == QueryState::kReady) ++ready;
-        for (const workload::QueryId pid : node.partners) {
-            const Node* p = find(pid);
-            if (p == nullptr) return false;  // dangling edge
+        for (const Node* p : node.partners) {
             if (p->job == node.job) return false;  // intra-job gating edge
-            if (std::find(p->partners.begin(), p->partners.end(), id) ==
+            if (std::find(p->partners.begin(), p->partners.end(), &node) ==
                 p->partners.end())
                 return false;  // asymmetric edge
             // One edge per query per job pair.
-            std::size_t to_that_job = 0;
-            for (const workload::QueryId other : node.partners) {
-                const Node* o = find(other);
-                if (o != nullptr && o->job == p->job) ++to_that_job;
-            }
+            const auto to_that_job =
+                std::count_if(node.partners.begin(), node.partners.end(),
+                              [&](const Node* o) { return o->job == p->job; });
             if (to_that_job > 1) return false;
         }
     }

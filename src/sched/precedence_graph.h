@@ -53,6 +53,9 @@ class PrecedenceGraph {
     /// `gating_enabled` = false degrades to pure precedence tracking (JAWS_1).
     explicit PrecedenceGraph(bool gating_enabled = true)
         : gating_enabled_(gating_enabled) {}
+    /// A copy's partner pointers would name the source's nodes.
+    PrecedenceGraph(const PrecedenceGraph&) = delete;
+    PrecedenceGraph& operator=(const PrecedenceGraph&) = delete;
 
     /// Register a job's declared workflow. The Job must outlive the graph (the
     /// engine owns jobs in stable storage). Ordered jobs are aligned against
@@ -101,13 +104,17 @@ class PrecedenceGraph {
     bool audit() const;
 
   private:
+    /// One live query. Nodes are linked by pointer: `nodes_` is an
+    /// unordered_map, whose elements never move on rehash, and
+    /// on_query_done() detaches a node from every partner before pruning
+    /// it, so a partner pointer always names a live node.
     struct Node {
         workload::QueryId id = 0;
         workload::JobId job = 0;
         std::uint32_t seq = 0;
         QueryState state = QueryState::kWait;
         std::uint64_t visible_tick = 0;  ///< Order in which queries became READY.
-        std::vector<workload::QueryId> partners;
+        std::vector<Node*> partners;     ///< Gating partners, in admission order.
         int gating_number = 0;
         const workload::Query* query = nullptr;
         const workload::Job* owner = nullptr;
@@ -123,14 +130,14 @@ class PrecedenceGraph {
     Node* find(workload::QueryId id);
     const Node* find(workload::QueryId id) const;
     bool gating_satisfied(const Node& node) const;
-    std::vector<workload::QueryId> promote_from(const std::vector<workload::QueryId>& seeds);
+    std::vector<workload::QueryId> promote_from(const std::vector<Node*>& seeds);
     bool try_admit_edge(Node& nl, Node& nk);
     /// Next live query of `node`'s ordered job (null for batched jobs and
     /// chain tails): the node's one precedence successor.
     Node* chain_successor(const Node& node);
-    /// Would gating `a`, `b` and the live `extra` ids together close a cycle?
+    /// Would gating `a`, `b` and the `extra` nodes together close a cycle?
     /// Exact only on an acyclic graph (see acyclic()).
-    bool would_deadlock(Node& a, Node& b, const std::vector<workload::QueryId>& extra);
+    bool would_deadlock(Node& a, Node& b, const std::vector<Node*>& extra);
     /// Full rebuild: no cycle in the precedence graph with every gating
     /// component contracted. The invariant behind would_deadlock().
     bool acyclic() const;

@@ -3,14 +3,15 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "util/contracts.h"
 
 namespace jaws::sched {
 
 WorkloadManager::WorkloadManager(const CostConstants& cost, const ResidencyProbe* probe,
-                                 double alpha)
-    : cost_(cost), probe_(probe), alpha_(alpha) {
+                                 double alpha, bool two_level)
+    : cost_(cost), probe_(probe), alpha_(alpha), two_level_(two_level) {
     if (cost_.atoms_per_step == 0) cost_.atoms_per_step = 1;
 }
 
@@ -28,25 +29,29 @@ double WorkloadManager::compute_key(const AtomQueue& q) const {
     return q.utility * (1.0 - alpha_) - q.oldest.millis() * alpha_;
 }
 
+WorkloadManager::RankEntry WorkloadManager::rank_entry(const storage::AtomId& atom,
+                                                       const AtomQueue& q) const {
+    if (two_level_) return {atom.timestep, -q.utility, atom.key()};
+    return {0, -q.key, atom.key()};
+}
+
 void WorkloadManager::index_insert(const storage::AtomId& atom, AtomQueue& q) {
     q.utility = compute_utility(atom, q);
     q.key = compute_key(q);
-    order_.emplace(-q.key, atom.key());
+    ranking_.insert(rank_entry(atom, q));
     StepAgg& agg = steps_[atom.timestep];
     agg.utility_sum += q.utility;
     agg.key_sum += q.key;
     ++agg.atoms;
-    agg.by_utility.emplace(-q.utility, atom.key());
 }
 
 void WorkloadManager::index_erase(const storage::AtomId& atom, const AtomQueue& q) {
-    order_.erase({-q.key, atom.key()});
+    ranking_.erase(rank_entry(atom, q));
     const auto it = steps_.find(atom.timestep);
     assert(it != steps_.end());
     it->second.utility_sum -= q.utility;
     it->second.key_sum -= q.key;
     --it->second.atoms;
-    it->second.by_utility.erase({-q.utility, atom.key()});
     if (it->second.atoms == 0) steps_.erase(it);
 }
 
@@ -89,36 +94,36 @@ void WorkloadManager::on_residency_changed(const storage::AtomId& atom) {
     index_insert(atom, it->second);
 }
 
-std::optional<storage::AtomId> WorkloadManager::pick_best_atom() const {
-    if (order_.empty()) return std::nullopt;
-    return storage::AtomId::from_key(order_.begin()->second);
-}
-
-std::vector<storage::AtomId> WorkloadManager::pick_two_level_batch(std::size_t k,
-                                                                   util::SimTime now) const {
-    if (steps_.empty()) return {};
+std::vector<storage::AtomId> WorkloadManager::pick(std::size_t k, util::SimTime now) const {
+    if (ranking_.empty()) return {};
+    // Single-atom mode: the ranking's first entry has the highest static key.
+    if (!two_level_) return {storage::AtomId::from_key(std::get<2>(*ranking_.begin()))};
     // Coarse level: the time step with the highest mean aged throughput,
     // where the mean is over *all* atoms of the step (atoms without pending
     // work contribute zero), i.e. total contention mass / atoms_per_step.
     // Each pending atom's U_e is its static key plus now*alpha, so the exact
     // step sum is key_sum + pending_count * now * alpha.
-    const StepAgg* best = nullptr;
+    auto best = steps_.end();
     double best_sum = 0.0;
     const double now_term = now.millis() * alpha_;
-    for (const auto& [t, agg] : steps_) {
-        const double sum = agg.key_sum + static_cast<double>(agg.atoms) * now_term;
-        if (best == nullptr || sum > best_sum) {
+    for (auto it = steps_.begin(); it != steps_.end(); ++it) {
+        const double sum = it->second.key_sum + static_cast<double>(it->second.atoms) * now_term;
+        if (best == steps_.end() || sum > best_sum) {
             best_sum = sum;
-            best = &agg;
+            best = it;
         }
     }
     // Fine level: up to k atoms of that step with U_t above the step's mean
     // U_t over all atoms — a deliberately low bar (paper Sec. V: "the impact
     // beyond 50 is marginal because only atoms with workload throughput
     // greater than the mean value are considered") — in Morton order.
-    const double mean_ut = best->utility_sum / static_cast<double>(cost_.atoms_per_step);
+    const auto& [best_step, agg] = *best;
+    const double mean_ut = agg.utility_sum / static_cast<double>(cost_.atoms_per_step);
     std::vector<storage::AtomId> batch;
-    for (const auto& [neg_ut, atom_key] : best->by_utility) {
+    const double lowest = -std::numeric_limits<double>::infinity();
+    for (auto it = ranking_.lower_bound({best_step, lowest, storage::AtomKey{}});
+         it != ranking_.end() && std::get<0>(*it) == best_step; ++it) {
+        const auto& [step, neg_ut, atom_key] = *it;
         if (batch.size() >= k) break;
         if (-neg_ut < mean_ut && !batch.empty()) break;  // below mean: stop
         batch.push_back(storage::AtomId::from_key(atom_key));
@@ -158,7 +163,7 @@ void WorkloadManager::set_alpha(double alpha) {
 }
 
 void WorkloadManager::rebuild_index() {
-    order_.clear();
+    ranking_.clear();
     steps_.clear();
     // Rebuild in atom-key order: StepAgg sums doubles, and floating-point
     // accumulation order must not depend on the hash table's layout for the
@@ -215,13 +220,8 @@ bool WorkloadManager::audit() const {
               "WorkloadManager: per-atom deadline cache out of sync");
         check(close(q.utility, compute_utility(atom, q)), "cached U_t re-derives",
               "WorkloadManager: cached utility out of sync with Eq. 1");
-        check(order_.count({-q.key, atom.key()}) == 1, "ranking entry present",
-              "WorkloadManager: atom missing from the ordered ranking");
-        const auto step = steps_.find(atom.timestep);
-        check(step != steps_.end() &&
-                  step->second.by_utility.count({-q.utility, atom.key()}) == 1,
-              "per-step index entry present",
-              "WorkloadManager: atom missing from its step's utility index");
+        check(ranking_.count(rank_entry(atom, q)) == 1, "ranking entry present",
+              "WorkloadManager: atom missing from the ranking");
         positions += queue_positions;
         subqueries += q.items.size();
         auto& sums = step_sums[atom.timestep];
@@ -239,8 +239,8 @@ bool WorkloadManager::audit() const {
           "WorkloadManager: global position total out of sync");
     check(subqueries == total_subqueries_, "total sub-queries re-derive",
           "WorkloadManager: global sub-query total out of sync");
-    check(order_.size() == queues_.size(), "one ranking entry per atom",
-          "WorkloadManager: ordered ranking size out of sync");
+    check(ranking_.size() == queues_.size(), "one ranking entry per atom",
+          "WorkloadManager: ranking size out of sync");
     check(deadlines_.size() == deadlined, "one deadline entry per deadlined atom",
           "WorkloadManager: deadline index size out of sync");
     check(steps_.size() == step_sums.size(), "one aggregate per pending step",
@@ -248,9 +248,7 @@ bool WorkloadManager::audit() const {
     for (const auto& [t, agg] : steps_) {
         const auto sums = step_sums.find(t);
         if (sums == step_sums.end()) continue;  // size mismatch reported above
-        check(agg.atoms == sums->second.second &&
-                  agg.by_utility.size() == sums->second.second,
-              "step atom count re-derives",
+        check(agg.atoms == sums->second.second, "step atom count re-derives",
               "WorkloadManager: per-step atom count out of sync");
         check(close(agg.utility_sum, sums->second.first),
               "step utility sum re-derives",

@@ -9,11 +9,15 @@
 //   * the aged metric (Eq. 2)  U_e(i) = U_t(i)*(1-alpha) + E(i)*alpha, with
 //     E(i) the age of the oldest sub-query. Because E(i) = now - oldest_i,
 //     atoms can be ranked by the *static* key U_t*(1-alpha) - oldest_i*alpha
-//     (the common now*alpha term cancels), so the ordered index only changes
-//     when a queue mutates, the cache residency flips, or alpha changes;
+//     (the common now*alpha term cancels);
+//   * one ordered ranking, whose order is fixed at construction by the pick
+//     the scheduler makes: LifeRaft's single-atom pick reads atoms by
+//     descending static key, the two-level pick reads one time step's atoms
+//     by descending U_t. It only changes when a queue mutates, the cache
+//     residency flips, or alpha changes;
 //   * the two-level selection (Sec. V, Fig. 6): pick the time step with the
-//     highest mean U_t, then up to k atoms of that step with U_t above the
-//     mean, returned in Morton order;
+//     highest mean U_e from per-step sums, then up to k atoms of that step
+//     with U_t above the mean, returned in Morton order;
 //   * the UtilityOracle interface URC reads for cache coordination.
 #pragma once
 
@@ -21,6 +25,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -47,7 +52,7 @@ class ResidencyProbe {
     virtual bool resident(const storage::AtomId& atom) const = 0;
 };
 
-/// Per-atom workload queues with contention-ordered indexes.
+/// Per-atom workload queues with a contention-ordered ranking.
 class WorkloadManager final : public cache::UtilityOracle {
   public:
     /// `probe` may be null (phi taken as 1 everywhere) and must outlive the
@@ -56,8 +61,9 @@ class WorkloadManager final : public cache::UtilityOracle {
     /// coarse level ranks steps by total pending contention normalised by
     /// this constant, so steps with more aggregate work win, and the in-step
     /// selection bar ("U_t greater than the mean") is correspondingly low.
-    WorkloadManager(const CostConstants& cost, const ResidencyProbe* probe,
-                    double alpha = 0.5);
+    /// `two_level` selects what pick() returns and so what the ranking orders.
+    WorkloadManager(const CostConstants& cost, const ResidencyProbe* probe, double alpha,
+                    bool two_level);
 
     // --- queue mutation ---
 
@@ -73,16 +79,15 @@ class WorkloadManager final : public cache::UtilityOracle {
 
     // --- selection ---
 
-    /// Atom with the highest aged workload throughput U_e at virtual time
-    /// `now` (LifeRaft's single-atom pick). nullopt when no work is pending.
-    std::optional<storage::AtomId> pick_best_atom() const;
-
-    /// Two-level pick (paper Sec. V, Fig. 6): the time step with the highest
+    /// The atoms to dispatch next at virtual time `now`; empty when no work
+    /// is pending. Single-atom mode (LifeRaft, paper Sec. III-C): the one
+    /// atom with the highest aged workload throughput U_e (`k` is not read).
+    /// Two-level mode (paper Sec. V, Fig. 6): the time step with the highest
     /// mean *aged* workload throughput over all of the step's atoms
     /// (Sec. V-C), then up to `k` atoms of that step with U_t at or above the
     /// step's mean U_t, in Morton order. `now` enters through the age term
     /// E(i) = now - oldest_i of the aged metric.
-    std::vector<storage::AtomId> pick_two_level_batch(std::size_t k, util::SimTime now) const;
+    std::vector<storage::AtomId> pick(std::size_t k, util::SimTime now) const;
 
     /// QoS support (paper Sec. VII): the atom whose pending work carries the
     /// earliest completion deadline, with that deadline. nullopt when no
@@ -100,7 +105,7 @@ class WorkloadManager final : public cache::UtilityOracle {
 
     /// Current age bias.
     double alpha() const noexcept { return alpha_; }
-    /// Change the age bias (rebuilds the ordered index).
+    /// Change the age bias (rebuilds the ranking).
     void set_alpha(double alpha);
 
     // --- introspection ---
@@ -110,7 +115,7 @@ class WorkloadManager final : public cache::UtilityOracle {
     /// Exhaustive consistency check between the atom queues and the derived
     /// indexes (automatic at transitions in audit builds; callable from
     /// tests): per-queue position/deadline caches, global totals, the
-    /// ordered ranking, per-step aggregates, and the deadline index must all
+    /// ranking, per-step aggregates, and the deadline index must all
     /// re-derive from the queues exactly. Reports through
     /// util::contract_violation; returns true when clean.
     bool audit() const;
@@ -131,8 +136,14 @@ class WorkloadManager final : public cache::UtilityOracle {
         double key = 0.0;      ///< Cached static ranking key.
     };
 
+    /// Ranking entry: (0, -static key, atom key) in single-atom mode,
+    /// (timestep, -U_t, atom key) in two-level mode; ascending order is the
+    /// pick order, ties broken by atom key.
+    using RankEntry = std::tuple<std::uint32_t, double, storage::AtomKey>;
+
     double compute_utility(const storage::AtomId& atom, const AtomQueue& q) const;
     double compute_key(const AtomQueue& q) const;
+    RankEntry rank_entry(const storage::AtomId& atom, const AtomQueue& q) const;
     void index_insert(const storage::AtomId& atom, AtomQueue& q);
     void index_erase(const storage::AtomId& atom, const AtomQueue& q);
     void rebuild_index();
@@ -140,16 +151,16 @@ class WorkloadManager final : public cache::UtilityOracle {
     CostConstants cost_;
     const ResidencyProbe* probe_;
     double alpha_;
+    bool two_level_;
 
     std::unordered_map<storage::AtomId, AtomQueue, storage::AtomIdHash> queues_;
-    // Ordered by descending static key; (-key, atom key) ascending.
-    std::set<std::pair<double, storage::AtomKey>> order_;
+    std::set<RankEntry> ranking_;
+    /// Eager per-step sums. Accumulated in enqueue/drain order (rebuilds in
+    /// atom-key order), which fixes their rounding bit for bit.
     struct StepAgg {
         double utility_sum = 0.0;  ///< Sum of U_t (mean gates in-step selection).
         double key_sum = 0.0;      ///< Sum of static aged keys (mean picks the step).
         std::size_t atoms = 0;
-        // Ordered by descending U_t; (-U_t, atom key) ascending.
-        std::set<std::pair<double, storage::AtomKey>> by_utility;
     };
     std::map<std::uint32_t, StepAgg> steps_;
     // Atoms with deadlined work, ordered by (deadline, atom key).

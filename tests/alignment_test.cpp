@@ -1,6 +1,8 @@
 // Tests for the Needleman-Wunsch data-sharing alignment (sched/alignment.h).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sched/alignment.h"
 #include "util/morton.h"
 #include "util/rng.h"
@@ -103,6 +105,17 @@ TEST(AlignJobs, PairsAreStrictlyMonotone) {
         for (const AlignedPair& p : al.pairs)
             ASSERT_TRUE(queries_share_data(qa[p.a_seq], qb[p.b_seq]));
     }
+}
+
+/// Exhaustive (exponential) oracle for small inputs: the best number of
+/// sharing pairs aligning a.queries[i..) with b.queries[j..).
+std::uint32_t max_sharing_alignment_bruteforce(const workload::Job& a, const workload::Job& b,
+                                               std::size_t i = 0, std::size_t j = 0) {
+    if (i == a.queries.size() || j == b.queries.size()) return 0;
+    const std::uint32_t s = queries_share_data(a.queries[i], b.queries[j]) ? 1 : 0;
+    return std::max({max_sharing_alignment_bruteforce(a, b, i + 1, j),
+                     max_sharing_alignment_bruteforce(a, b, i, j + 1),
+                     s + max_sharing_alignment_bruteforce(a, b, i + 1, j + 1)});
 }
 
 class AlignmentOptimality : public ::testing::TestWithParam<std::uint64_t> {};

@@ -240,7 +240,7 @@ TEST(Contracts, WorkloadManagerAuditsCleanThroughQueueChurn) {
     HandlerGuard guard;
     sched::CostConstants cost;
     cost.atoms_per_step = 64;
-    sched::WorkloadManager m(cost, nullptr, 0.25);
+    sched::WorkloadManager m(cost, nullptr, 0.25, /*two_level=*/false);
     EXPECT_TRUE(m.audit());
     for (std::uint64_t i = 0; i < 48; ++i) {
         const storage::AtomId a{static_cast<std::uint32_t>(i % 3), i % 12};
@@ -254,8 +254,9 @@ TEST(Contracts, WorkloadManagerAuditsCleanThroughQueueChurn) {
     EXPECT_TRUE(m.audit());
     m.set_alpha(0.75);  // rebuilds the ordered index
     EXPECT_TRUE(m.audit());
-    while (const auto best = m.pick_best_atom()) {
-        m.drain_atom(*best);
+    for (auto picked = m.pick(1, util::SimTime::zero()); !picked.empty();
+         picked = m.pick(1, util::SimTime::zero())) {
+        m.drain_atom(picked.front());
         ASSERT_TRUE(m.audit());
     }
     EXPECT_TRUE(m.empty());

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -313,6 +314,88 @@ TEST(PrecedenceGraph, RandomCampaignDrainsWithoutForcedPromotions) {
         ASSERT_EQ(executed, total);
         ASSERT_EQ(g.stats().forced_promotions, 0u);
     }
+}
+
+TEST(PrecedenceGraph, PartnerPointersSurviveTableGrowth) {
+    // Gating partners are linked by pointer into the node table. Ordered jobs
+    // arrive (one completion per arrival) until about a thousand queries are
+    // live, so the table rehashes several times (libstdc++ grows through 13,
+    // 29, 59, 127, 257, 541 and 1,109 buckets) while gating edges are live,
+    // then everything drains. After every step check_invariants() reads
+    // through every partner pointer, and each query's state and partner
+    // count must match a shadow model; under ASan a dangling partner fails
+    // outright.
+    util::Rng rng(77);
+    std::vector<workload::Job> jobs(120);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        workload::Job& job = jobs[j];
+        job.id = j + 1;
+        job.type = workload::JobType::kOrdered;
+        const std::size_t m = 6 + rng.uniform_u64(7);
+        for (std::size_t i = 0; i < m; ++i)
+            job.queries.push_back(
+                query_on(job.id, static_cast<std::uint32_t>(i), 0, {rng.uniform_u64(6)}));
+    }
+    PrecedenceGraph g(true);
+    std::map<workload::QueryId, QueryState> expected;
+    std::vector<workload::QueryId> runnable;
+    std::size_t detached = 0;  // edges removed by completions
+    std::size_t peak_live = 0, edges_at_peak = 0;
+
+    const auto visible = [&](workload::QueryId id) {
+        expected[id] = QueryState::kReady;
+        for (const workload::QueryId p : g.on_query_visible(id)) {
+            expected[p] = QueryState::kQueue;
+            runnable.push_back(p);
+        }
+    };
+    const auto complete = [&] {
+        const workload::QueryId id = runnable.front();
+        runnable.erase(runnable.begin());
+        detached += g.partner_count(id);
+        g.on_query_done(id);
+        expected[id] = QueryState::kDone;
+        const workload::Job& job = jobs[id / 1000 - 1];
+        if (id % 1000 + 1 < job.queries.size()) visible(id + 1);
+    };
+    const auto consistent = [&]() -> std::string {
+        if (!g.check_invariants()) return "invariants broken";
+        std::size_t live = 0, endpoints = 0;
+        for (const auto& [id, state] : expected) {
+            if (g.state(id) != state) return "state of query " + std::to_string(id);
+            if (state == QueryState::kDone) {
+                if (g.partner_count(id) != 0) return "partners of done query";
+                continue;
+            }
+            ++live;
+            endpoints += g.partner_count(id);
+        }
+        const std::size_t edges = g.stats().edges_admitted - detached;
+        if (endpoints != 2 * edges) return "partner counts do not add up to the live edges";
+        if (live > peak_live) {
+            peak_live = live;
+            edges_at_peak = edges;
+        }
+        return "";
+    };
+
+    for (const workload::Job& job : jobs) {
+        g.add_job(job);
+        for (const auto& q : job.queries) expected[q.id] = QueryState::kWait;
+        visible(job.queries.front().id);
+        ASSERT_EQ(consistent(), "") << "after add_job(" << job.id << ")";
+        if (runnable.empty()) continue;
+        complete();
+        ASSERT_EQ(consistent(), "") << "after a completion";
+    }
+    while (!runnable.empty()) {
+        complete();
+        ASSERT_EQ(consistent(), "") << "while draining";
+    }
+    for (const auto& [id, state] : expected) ASSERT_EQ(state, QueryState::kDone) << id;
+    EXPECT_GT(peak_live, 600u);  // past the 541-bucket table
+    EXPECT_GT(edges_at_peak, 0u);
+    EXPECT_EQ(g.stats().forced_promotions, 0u);
 }
 
 // ---------------------------------------------------------------------------
